@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
         cell.on_time = res.verdict == guard::SolveVerdict::kConverged;
         cell.work_units = res.work_units;
         cell.drop_orders = res.residual_drop_orders;
-        cell.degrade_rungs = res.degrade_rungs;
+        cell.degrade_rungs = res.degrade_rungs();
         if (ladder) {
           ++ladder_runs;
           ladder_on_time += cell.on_time ? 1 : 0;

@@ -118,8 +118,8 @@ struct Rig {
     out.injected = inj.fires(FaultSite::kBitFlip) > 0;
     if (!out.injected) return out;
 
-    const bool guard_fired =
-        aborted || res.sdc_detections > 0 || res.recovery_log.detections() > 0;
+    const bool guard_fired = aborted || res.sdc_detections() > 0 ||
+                             res.recovery_log.detections() > 0;
     double diff = 0;
     for (std::size_t i = 0; i < x.size(); ++i)
       diff = std::max(diff, std::abs(x[i] - x_ref[i]));
@@ -136,7 +136,7 @@ struct Rig {
                   bit, resilience::flip_target_name(target),
                   static_cast<unsigned long long>(seed),
                   out.caught ? "caught" : out.escaped ? "ESCAPED" : "benign",
-                  res.sdc_detections, res.recovery_log.detections(),
+                  res.sdc_detections(), res.recovery_log.detections(),
                   diff / ref_norm, aborted ? " [aborted]" : "");
     return out;
   }
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
     auto x = prob.initial_state();
     auto res = solver::ptc_solve(prob, x, campaign_options());
     ++clean_runs;
-    if (res.sdc_detections > 0) ++false_positives;
+    if (res.sdc_detections() > 0) ++false_positives;
   }
   std::printf("\nclean runs: %d, SDC false positives: %d\n", clean_runs,
               false_positives);

@@ -18,8 +18,10 @@
 #include "cfd/problem.hpp"
 #include "io/vtk.hpp"
 #include "common/options.hpp"
+#include "common/table.hpp"
 #include "mesh/generator.hpp"
 #include "mesh/ordering.hpp"
+#include "obs/obs.hpp"
 #include "solver/newton.hpp"
 
 int main(int argc, char** argv) {
@@ -52,7 +54,10 @@ int main(int argc, char** argv) {
   popts.max_steps = opts.get_int("max-steps", 60);
   popts.schwarz.fill_level = 1;
   auto x = problem.initial_state();
+  // Trace the solve so the span tree can say where the time went.
+  obs::set_tracing(true);
   auto result = solver::ptc_solve(problem, x, popts);
+  obs::set_tracing(false);
 
   std::printf("\n%-6s %-12s %-8s %-10s\n", "step", "residual", "CFL",
               "linear its");
@@ -67,11 +72,14 @@ int main(int argc, char** argv) {
 
   // The paper: "the CFD application spends almost all of its time in two
   // phases: flux computations ... and sparse linear algebraic kernels."
-  std::printf("phase breakdown:");
-  for (const auto& [name, sec] : result.phases.buckets())
-    std::printf("  %s %.0f%%", name.c_str(),
-                100.0 * sec / result.phases.total());
-  std::printf("\n");
+  // "self" is exclusive time: krylov's total includes the matrix-free flux
+  // evaluations nested inside it, its self time does not. (With F3D_TRACE
+  // set, ptc_solve has already written the spans to the trace file.)
+  if (!obs::trace_env_requested()) {
+    std::printf("\nphase breakdown (spans; self = exclusive of nested "
+                "spans):\n");
+    spans_table(obs::Tracer::global().drain()).print();
+  }
 
   // 5. Wall pressure summary: integrate p n over the wall (force vector).
   double force[3] = {0, 0, 0};

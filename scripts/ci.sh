@@ -40,8 +40,9 @@
 #      the markdown must have no dead relative links
 #   4. ASan+UBSan build + the resilience-labelled tests (the fault
 #      injection / recovery / checkpoint / distributed-campaign paths,
-#      where memory bugs would hide behind error handling) + the sdc-,
-#      failslow- and simd-labelled tests under the same sanitizers
+#      where memory bugs would hide behind error handling) + the driver-
+#      (plain psi-NKS path), sdc-, failslow- and simd-labelled tests
+#      under the same sanitizers
 #   5. TSan build + the threaded-labelled tests (the exec pool, colored
 #      scatters, level-scheduled solves) with a 4-thread pool
 #
@@ -154,6 +155,7 @@ echo "=== asan build + resilience-labelled tests ==="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 ctest --preset asan-resilience -j "$JOBS"
+ctest --preset asan-driver -j "$JOBS"
 ctest --preset asan-sdc -j "$JOBS"
 ctest --preset asan-failslow -j "$JOBS"
 ctest --preset asan-tune -j "$JOBS"

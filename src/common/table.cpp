@@ -1,6 +1,7 @@
 #include "common/table.hpp"
 
 #include <cstdio>
+#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -64,14 +65,31 @@ Table registry_table(const obs::Snapshot& snapshot) {
 }
 
 Table spans_table(const std::vector<obs::SpanEvent>& events) {
+  // Exclusive ("self") time is a span's duration minus that of its direct
+  // children on the same thread. Events arrive sorted by start, so per
+  // thread the still-open ancestors of each event form a stack.
+  std::vector<double> child_us(events.size(), 0.0);
+  std::map<int, std::vector<std::size_t>> open;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto& e = events[i];
+    auto& stack = open[e.tid];
+    while (!stack.empty() && (events[stack.back()].depth >= e.depth ||
+                              events[stack.back()].t1_ns < e.t1_ns))
+      stack.pop_back();
+    if (!stack.empty()) child_us[stack.back()] += e.duration_us();
+    stack.push_back(i);
+  }
+
   // Aggregate by name, preserving first-appearance order.
   std::vector<std::string> order;
   struct Agg {
     long long count = 0;
     double total_us = 0;
+    double self_us = 0;
   };
   std::vector<Agg> aggs;
-  for (const auto& e : events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto& e = events[i];
     std::size_t k = 0;
     for (; k < order.size(); ++k)
       if (order[k] == e.name) break;
@@ -81,11 +99,13 @@ Table spans_table(const std::vector<obs::SpanEvent>& events) {
     }
     ++aggs[k].count;
     aggs[k].total_us += e.duration_us();
+    aggs[k].self_us += e.duration_us() - child_us[i];
   }
-  Table t({"span", "count", "total", "mean"});
+  Table t({"span", "count", "total", "self", "mean"});
   for (std::size_t k = 0; k < order.size(); ++k) {
     t.add_row({order[k], Table::num(aggs[k].count),
                Table::num(aggs[k].total_us * 1e-3, 3) + "ms",
+               Table::num(aggs[k].self_us * 1e-3, 3) + "ms",
                Table::num(aggs[k].count > 0
                               ? aggs[k].total_us / static_cast<double>(
                                                        aggs[k].count)

@@ -37,8 +37,9 @@ private:
 /// registry entry (kind, name, value), sorted by name within kind.
 [[nodiscard]] Table registry_table(const obs::Snapshot& snapshot);
 
-/// Spans aggregated by name: count, total ms, mean us. `events` is a
-/// Tracer::drain() result.
+/// Spans aggregated by name: count, total ms, self ms (exclusive of the
+/// direct children on the same thread), mean us. `events` is a
+/// Tracer::drain() result (sorted by start).
 [[nodiscard]] Table spans_table(const std::vector<obs::SpanEvent>& events);
 
 }  // namespace f3d

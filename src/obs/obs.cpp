@@ -126,26 +126,6 @@ int Registry::thread_slot() {
   return slot;
 }
 
-Registry::Registry(const Registry& o) { merge_snapshot(o.snapshot()); }
-
-Registry& Registry::operator=(const Registry& o) {
-  if (this != &o) {
-    Snapshot s = o.snapshot();
-    clear();
-    merge_snapshot(s);
-  }
-  return *this;
-}
-
-void Registry::merge_snapshot(const Snapshot& s) {
-  Shard& sh = shards_[0];
-  std::lock_guard<std::mutex> lk(sh.mu);
-  for (const auto& [k, v] : s.counters) sh.counters[k] += v;
-  for (const auto& [k, v] : s.times) sh.times[k] += v;
-  std::lock_guard<std::mutex> gl(gauge_mu_);
-  for (const auto& [k, v] : s.gauges) gauges_[k] = v;
-}
-
 void Registry::count(const std::string& name, long long delta) {
   Shard& sh = my_shard();
   std::lock_guard<std::mutex> lk(sh.mu);

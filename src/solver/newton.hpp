@@ -17,8 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/timer.hpp"
-
 #include "guard/guard.hpp"
 #include "guard/watchdog.hpp"
 #include "partition/partition.hpp"
@@ -276,15 +274,23 @@ struct PtcResult {
   std::vector<PtcStepRecord> history;
   SolveCounters counters;
 
-  // Resilience bookkeeping.
+  // Resilience bookkeeping. The log is the one tally: the counts below are
+  // views of it (so after a resume they cover the whole run).
   resilience::RecoveryLog recovery_log;  ///< every detection/recovery action
-  int steps_rejected = 0;     ///< step attempts rolled back
   int krylov_breakdowns = 0;  ///< breakdowns reported by the inner solver
   bool resumed = false;       ///< state was restored from a checkpoint
   int resume_step = 0;        ///< first step executed after the restore
-  int sdc_detections = 0;     ///< guard firings (ABFT / drift / admissibility)
-  int sdc_recomputes = 0;     ///< recompute-and-verify rungs taken
-  int sdc_rollbacks = 0;      ///< rollbacks to the last verified state
+  using Action = resilience::RecoveryAction;
+  int steps_rejected() const {
+    return recovery_log.count(Action::kStepRejected);
+  }
+  /// SDC guard firings (ABFT / drift / admissibility).
+  int sdc_detections() const { return recovery_log.count(Action::kDetectSdc); }
+  int sdc_recomputes() const {
+    return recovery_log.count(Action::kSdcRecompute);
+  }
+  int sdc_rollbacks() const { return recovery_log.count(Action::kSdcRollback); }
+  int degrade_rungs() const { return recovery_log.count(Action::kDegradeRung); }
 
   // Run-to-completion contract (f3d::guard). On any early exit x holds
   // the best committed iterate — the last accepted pseudo-timestep's
@@ -293,19 +299,13 @@ struct PtcResult {
   guard::TripReason trip = guard::TripReason::kNone;
   long long work_units = 0;           ///< deterministic cost-model total
   long long cancel_latency_units = 0; ///< units charged after the trip
-  int degrade_rungs = 0;              ///< degradation-ladder rungs fired
   bool watchdog_fired = false;        ///< livelock-style stall detected
   // Quality grade of the returned state.
   double residual_drop_orders = 0;    ///< log10(r0 / final_residual)
   bool best_state_admissible = true;  ///< admissibility scan of returned x
   int last_checkpoint_step = -1;      ///< last verified checkpoint (-1: none)
-  /// Real wall-clock per phase: "flux" (residual evaluations, including
-  /// matrix-free actions and line search), "jacobian" (analytic assembly),
-  /// "factor" (preconditioner refactorization), "krylov" (solver
-  /// orchestration outside the residual calls). The paper: "the CFD
-  /// application spends almost all of its time in two phases" — this is
-  /// how we check that claim on the reproduction.
-  PhaseTimers phases;
+  // Per-phase wall-clock is the "flux", "jacobian", "factor" and "krylov"
+  // spans under the "ptc_solve" root (obs/obs.hpp).
 };
 
 /// Run psi-NKS from initial state x (updated in place).

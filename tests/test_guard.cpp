@@ -236,7 +236,7 @@ TEST(GuardedSolve, UnboundedGuardKeepsHistoricalBehavior) {
   EXPECT_EQ(res.trip, TripReason::kNone);
   EXPECT_GT(res.work_units, 0);  // the cost model still accumulates
   EXPECT_EQ(res.cancel_latency_units, 0);
-  EXPECT_EQ(res.degrade_rungs, 0);
+  EXPECT_EQ(res.degrade_rungs(), 0);
   EXPECT_FALSE(res.watchdog_fired);
   EXPECT_GE(res.residual_drop_orders, 8.0);  // rtol 1e-8 was met
   EXPECT_TRUE(res.best_state_admissible);
@@ -356,7 +356,7 @@ TEST(GuardedSolve, DegradationLadderFiresUnderBudgetPressure) {
   o.guard.budget.max_work_units = full.work_units;  // pressure reaches 1.0
   o.guard.degrade.enabled = true;
   const auto res = run_wing(o);
-  EXPECT_GE(res.degrade_rungs, 1);
+  EXPECT_GE(res.degrade_rungs(), 1);
   EXPECT_GT(res.recovery_log.count(resilience::RecoveryAction::kDegradeRung),
             0);
   // Whatever the outcome, the answer is a graded committed state.

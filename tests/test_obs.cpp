@@ -1,5 +1,5 @@
-// Tests for f3d::obs — the span tracer, counter/gauge registry, sinks,
-// and the PhaseTimers shim over the registry. The thread-count sweeps
+// Tests for f3d::obs — the span tracer, counter/gauge registry, and
+// sinks (including the exclusive-time table). The thread-count sweeps
 // (1/2/4 workers) pin the determinism contract: counter totals and span
 // counts are identical regardless of how the work was chunked.
 
@@ -10,11 +10,11 @@
 #include <cstdlib>
 #include <new>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/table.hpp"
-#include "common/timer.hpp"
 #include "exec/pool.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -160,18 +160,6 @@ TEST(ObsRegistry, TimesGaugesAndClear) {
   EXPECT_TRUE(reg.snapshot().empty());
 }
 
-TEST(ObsRegistry, CopyMaterializesMergedSnapshot) {
-  obs::Registry reg;
-  reg.count("c", 7);
-  reg.add_time("t", 2.0);
-  obs::Registry copy(reg);
-  EXPECT_EQ(copy.counter("c"), 7);
-  EXPECT_DOUBLE_EQ(copy.seconds("t"), 2.0);
-  copy.count("c", 1);  // copies are independent
-  EXPECT_EQ(reg.counter("c"), 7);
-  EXPECT_EQ(copy.counter("c"), 8);
-}
-
 TEST(ObsJson, ParseRoundTrip) {
   auto root = obs::Json::object();
   root.set("int", 42)
@@ -296,40 +284,45 @@ TEST(ObsTable, RegistryAndSpanTables) {
   EXPECT_NE(st.find("| 3"), std::string::npos);  // count column
 }
 
-TEST(ObsPhaseTimers, ShimAccumulatesAndMerges) {
-  PhaseTimers pt;
-  pt.add("flux", 0.25);
-  pt.add("flux", 0.25);
-  pt.add("krylov", 1.0);
-  EXPECT_DOUBLE_EQ(pt.get("flux"), 0.5);
-  EXPECT_DOUBLE_EQ(pt.total(), 1.5);
-  auto b = pt.buckets();
-  ASSERT_EQ(b.size(), 2u);
-  EXPECT_DOUBLE_EQ(b.at("krylov"), 1.0);
-  pt.clear();
-  EXPECT_DOUBLE_EQ(pt.total(), 0.0);
+// Cells of the first table row whose first cell is `name`.
+std::vector<std::string> table_row(const std::string& table,
+                                   const std::string& name) {
+  std::istringstream in(table);
+  for (std::string line; std::getline(in, line);) {
+    std::vector<std::string> cells;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, '|');) {
+      const auto b = cell.find_first_not_of(' ');
+      const auto e = cell.find_last_not_of(' ');
+      if (b != std::string::npos) cells.push_back(cell.substr(b, e - b + 1));
+    }
+    if (!cells.empty() && cells[0] == name) return cells;
+  }
+  return {};
 }
 
-TEST(ObsPhaseTimers, ConcurrentScopesFromPoolWorkers) {
-  for (int threads : {1, 2, 4}) {
-    exec::ThreadScope scope(threads);
-    PhaseTimers pt;
-    const std::int64_t n = 64;
-    exec::pool().parallel_for(
-        0, n,
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            PhaseTimers::Scope s(pt, "phase");
-            volatile double sink = 0;
-            for (int it = 0; it < 100; ++it) sink = sink + 1.0;
-          }
-        },
-        /*grain=*/1);
-    // Every scope contributed; the total is positive and the bucket map
-    // merges the shards.
-    EXPECT_GT(pt.get("phase"), 0.0) << threads << " threads";
-    EXPECT_EQ(pt.buckets().size(), 1u);
-  }
+TEST(ObsSinks, SpansTableSelfTimeExcludesDirectChildrenOnTheSameThread) {
+  // A synthetic trace in drain() order: a 10 ms root on thread 0 holding
+  // krylov (6 ms, with a 3 ms flux nested inside it) and a 1 ms flux; a
+  // 2 ms span on thread 1 overlaps krylov in time but is nobody's child.
+  constexpr std::uint64_t ms = 1000000;
+  const std::vector<obs::SpanEvent> events = {
+      {"ptc_solve", 0, 0, 10 * ms, 0}, {"krylov", 0, 1 * ms, 7 * ms, 1},
+      {"flux", 0, 2 * ms, 5 * ms, 2},  {"chunk", 1, 2 * ms, 4 * ms, 0},
+      {"flux", 0, 8 * ms, 9 * ms, 1},
+  };
+  const std::string t = spans_table(events).to_string();
+  const auto row = [&](const char* name) { return table_row(t, name); };
+  ASSERT_EQ(row("span").size(), 5u) << t;
+  EXPECT_EQ(row("span")[3], "self") << t;
+  // {span, count, total, self, mean}
+  EXPECT_EQ(row("ptc_solve")[2], "10.000ms");
+  EXPECT_EQ(row("ptc_solve")[3], "3.000ms");  // 10 - 6 - 1
+  EXPECT_EQ(row("krylov")[2], "6.000ms");
+  EXPECT_EQ(row("krylov")[3], "3.000ms");  // nested flux excluded
+  EXPECT_EQ(row("flux")[1], "2");
+  EXPECT_EQ(row("flux")[3], "4.000ms");  // leaves: self == total
+  EXPECT_EQ(row("chunk")[3], "2.000ms");
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "cfd/problem.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "mesh/generator.hpp"
 #include "par/loadmodel.hpp"
 #include "par/stepmodel.hpp"
@@ -30,6 +31,8 @@
 #include "sparse/assembly.hpp"
 #include "sparse/ilu.hpp"
 #include "sparse/vec.hpp"
+
+#include "golden.hpp"
 
 namespace {
 
@@ -411,7 +414,7 @@ TEST(PtcRecovery, IdleBitFlipSiteKeepsCampaignBitIdentical) {
   EXPECT_EQ(inj_b.draws(FaultSite::kBitFlip), 0);  // no draws consumed
   EXPECT_EQ(res_a.converged, res_b.converged);
   EXPECT_EQ(res_a.steps, res_b.steps);
-  EXPECT_EQ(res_a.steps_rejected, res_b.steps_rejected);
+  EXPECT_EQ(res_a.steps_rejected(), res_b.steps_rejected());
   EXPECT_EQ(res_a.final_residual, res_b.final_residual);
   ASSERT_EQ(x_a.size(), x_b.size());
   EXPECT_EQ(std::memcmp(x_a.data(), x_b.data(), x_a.size() * sizeof(double)),
@@ -425,7 +428,7 @@ TEST(PtcRecovery, NanResidualIsRejectedAndRecovered) {
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kDetectNanResidual), 0);
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kStepRejected), 0);
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kCflBacktrack), 0);
-  EXPECT_GT(res.steps_rejected, 0);
+  EXPECT_GT(res.steps_rejected(), 0);
 }
 
 TEST(PtcRecovery, NanResidualAbortsWithoutRecovery) {
@@ -526,6 +529,70 @@ TEST(FaultCampaign, RecoveryConvergesFaultsFailWithout) {
   EXPECT_GE(recovered * 100, total * 95)
       << "recovered " << recovered << "/" << total;
   EXPECT_EQ(failed_without, total);
+}
+
+// Golden outputs of the campaign's recovery-on half, pinning the recovery
+// path byte for byte: each (class, seed) run checkpoints every accepted
+// step, and its RecoveryLog text and the final checkpoint's bytes must
+// match the recorded CRCs (tests/golden.hpp). The checkpoint carries the
+// state's raw bytes, and the scalar fallback (F3D_SIMD=OFF) rounds its
+// reductions differently, so it has its own column.
+struct CampaignGolden {
+  FaultClass cls;
+  std::uint64_t seed;
+  std::size_t log_events;
+  std::uint32_t log_crc;
+  std::uint32_t ckpt_crc;
+  std::uint32_t scalar_ckpt_crc;
+};
+
+TEST(FaultCampaign, RecoveryLogsAndCheckpointBytesMatchGolden) {
+  const CampaignGolden golden[] = {
+      {FaultClass::kNanResidual, 11, 9, 0x3636f6aau, 0x98ae14b1u, 0x50c574f6u},
+      {FaultClass::kNanResidual, 22, 9, 0x815e3cefu, 0xc36b1f26u, 0xb1ba9713u},
+      {FaultClass::kNanResidual, 33, 9, 0xe3f09771u, 0xe69ec5dcu, 0x20b47d93u},
+      {FaultClass::kNanResidual, 44, 9, 0x9f528150u, 0x247391f0u, 0x74189f89u},
+      {FaultClass::kNanResidual, 55, 13, 0xc9fa3d03u, 0x69f7a253u, 0xf6fccdb7u},
+      {FaultClass::kZeroPivot, 11, 13, 0xeb105612u, 0x4185422bu, 0x6bce2634u},
+      {FaultClass::kZeroPivot, 22, 8, 0x542c8dffu, 0x6a741b9fu, 0xbb34ededu},
+      {FaultClass::kZeroPivot, 33, 13, 0xa5e4aa99u, 0xda44c66au, 0xf00fa275u},
+      {FaultClass::kZeroPivot, 44, 13, 0xbc3b5261u, 0x242a73e5u, 0x0e6117fau},
+      {FaultClass::kZeroPivot, 55, 13, 0x76f9af04u, 0x7de88fc3u, 0x57a3ebdcu},
+      {FaultClass::kGmresPoison, 11, 10, 0x76be1efeu, 0x0f523945u, 0x6f7506d3u},
+      {FaultClass::kGmresPoison, 22, 10, 0x42dab6ecu, 0xf898c6d8u, 0x98bff94eu},
+      {FaultClass::kGmresPoison, 33, 10, 0xe7d62cddu, 0x79142731u, 0x193318a7u},
+      {FaultClass::kGmresPoison, 44, 10, 0x2a13e6c8u, 0xcc7c3fa3u, 0xac5b0035u},
+      {FaultClass::kGmresPoison, 55, 10, 0x8f1f7cf9u, 0x1d7f6e1au, 0x7d58518cu},
+      {FaultClass::kBicgstabPoison, 11, 6, 0xf942435eu, 0xd50a32e6u, 0xab2a5dfcu},
+      {FaultClass::kBicgstabPoison, 22, 6, 0xcd26eb4cu, 0x487ce9b9u, 0x365c86a3u},
+      {FaultClass::kBicgstabPoison, 33, 6, 0x682a717du, 0x315038a1u, 0x4f7057bbu},
+      {FaultClass::kBicgstabPoison, 44, 6, 0xa5efbb68u, 0xa9e05946u, 0xd7c0365cu},
+      {FaultClass::kBicgstabPoison, 55, 6, 0x00e32159u, 0x4aafe7a3u, 0x348f88b9u},
+  };
+  for (const auto& g : golden) {
+    // A relative, fixed path: the path is part of the logged detail and
+    // so of the checkpoint bytes.
+    const std::string path = "golden_campaign_" +
+                             std::to_string(static_cast<int>(g.cls)) + "_" +
+                             std::to_string(g.seed) + ".f3dckpt";
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+    auto inj = make_campaign_injector(g.cls, g.seed);
+    PtcOptions o = class_options(g.cls, true);
+    o.recovery.checkpoint_every = 1;
+    o.recovery.checkpoint_path = path;
+    const auto res = run_wing(&inj, o);
+    const auto [log_crc, ckpt_crc] = golden::crcs(res.recovery_log, path);
+    const std::string what =
+        "class " + std::to_string(static_cast<int>(g.cls)) + " seed " +
+        std::to_string(g.seed) + "\n" + res.recovery_log.to_string();
+    EXPECT_EQ(res.recovery_log.size(), g.log_events) << what;
+    EXPECT_EQ(log_crc, g.log_crc) << what;
+    EXPECT_EQ(ckpt_crc, simd::enabled() ? g.ckpt_crc : g.scalar_ckpt_crc)
+        << what;
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+  }
 }
 
 // --- straggler injection in the parallel step model ----------------------

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 #include "cfd/admissibility.hpp"
 #include "cfd/problem.hpp"
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "exec/pool.hpp"
 #include "mesh/generator.hpp"
 #include "obs/json.hpp"
@@ -29,6 +31,8 @@
 #include "solver/newton.hpp"
 #include "sparse/abft.hpp"
 #include "sparse/csr.hpp"
+
+#include "golden.hpp"
 
 namespace {
 
@@ -485,8 +489,8 @@ TEST(PtcSdc, MatrixFlipDetectedByAbftAndClearedByRecompute) {
   inj.set_bit_flip({.bit = 58, .target = FlipTarget::kMatrix});
   auto res = run_wing_sdc(cfd::Model::kIncompressible, &inj, sdc_options(cfd::Model::kIncompressible));
   EXPECT_EQ(inj.fires(FaultSite::kBitFlip), 1);
-  EXPECT_GT(res.sdc_detections, 0);
-  EXPECT_GT(res.sdc_recomputes, 0);
+  EXPECT_GT(res.sdc_detections(), 0);
+  EXPECT_GT(res.sdc_recomputes(), 0);
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kDetectSdc), 0);
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kSdcRecompute), 0);
   EXPECT_TRUE(res.converged);
@@ -532,8 +536,8 @@ TEST(PtcSdc, PersistentStateCorruptionRollsBackToVerifiedState) {
 
   EXPECT_EQ(inj.fires(FaultSite::kBitFlip), 1);
   EXPECT_TRUE(res.converged);
-  EXPECT_GT(res.sdc_detections, 0);
-  EXPECT_EQ(res.sdc_rollbacks, 1);
+  EXPECT_GT(res.sdc_detections(), 0);
+  EXPECT_EQ(res.sdc_rollbacks(), 1);
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kDetectSdc), 0);
   EXPECT_EQ(res.recovery_log.count(RecoveryAction::kSdcRollback), 1);
   EXPECT_EQ(res.steps, clean.steps);
@@ -555,6 +559,104 @@ TEST(PtcSdc, StateCorruptionAbortsWithoutRecoveryLadder) {
   o.recovery.enabled = false;
   EXPECT_THROW(run_wing_sdc(cfd::Model::kCompressible, &inj, o),
                f3d::NumericalError);
+}
+
+// Golden outputs of the three recovery scenarios above (matrix flip ->
+// recompute, state flip -> rollback, mixed-precision matrix flip),
+// pinning the SDC rungs byte for byte. Each run checkpoints every
+// accepted step; its RecoveryLog text and final checkpoint bytes must
+// match the recorded CRCs (tests/golden.hpp).
+// The checkpoint carries the state's raw bytes, and the scalar fallback
+// (F3D_SIMD=OFF) rounds its reductions differently, so it has its own
+// column.
+struct SdcGolden {
+  const char* name;
+  std::size_t log_events;
+  std::uint32_t log_crc;
+  std::uint32_t ckpt_crc;
+  std::uint32_t scalar_ckpt_crc;
+};
+
+struct SdcScenario {
+  cfd::Model model;
+  int nx;
+  std::uint64_t seed;
+  FaultPlan plan;
+  BitFlipSpec flip;
+  solver::PtcOptions opts;
+};
+
+std::vector<SdcScenario> sdc_recovery_scenarios() {
+  solver::PtcOptions mixed;
+  mixed.cfl0 = 20.0;
+  mixed.max_steps = 30;
+  mixed.rtol = 1e-300;
+  mixed.num_subdomains = 2;
+  mixed.matrix_free = false;
+  mixed.matrix_single_precision = true;
+  mixed.schwarz.single_precision = true;
+  mixed.jacobian_refresh = 1;
+  mixed.recovery.enabled = true;
+  mixed.sdc.enabled = true;
+  return {
+      {cfd::Model::kIncompressible, 6, 11,
+       {.fire_every = 1, .skip_first = 1, .max_fires = 1},
+       {.bit = 58, .target = FlipTarget::kMatrix},
+       sdc_options(cfd::Model::kIncompressible)},
+      {cfd::Model::kCompressible, 6, 17,
+       {.fire_every = 1, .skip_first = 2, .max_fires = 1},
+       {.bit = 63, .target = FlipTarget::kState},
+       sdc_options(cfd::Model::kCompressible)},
+      {cfd::Model::kIncompressible, 4, 7, {.fire_every = 3},
+       {.bit = 28, .target = FlipTarget::kMatrix}, mixed},
+  };
+}
+
+TEST(PtcSdc, RecoveryLogsAndCheckpointBytesMatchGolden) {
+  const SdcGolden golden[] = {
+      {"matrix-flip-recompute", 7, 0xda0cb485u, 0x0fae9a74u, 0x4ec59611u},
+      {"state-flip-rollback", 6, 0x58eea098u, 0x19034f27u, 0x14b0da36u},
+      {"mixed-precision-matrix-flip", 36, 0x4bb54ed5u, 0x4fe68b1bu, 0xcbac334du},
+  };
+  const auto scenarios = sdc_recovery_scenarios();
+  ASSERT_EQ(scenarios.size(), std::size(golden));
+  for (std::size_t k = 0; k < scenarios.size(); ++k) {
+    const SdcScenario& sc = scenarios[k];
+    const SdcGolden& g = golden[k];
+    // A relative, fixed path: the path is part of the logged detail and
+    // so of the checkpoint bytes.
+    const std::string path = std::string("golden_sdc_") + g.name + ".f3dckpt";
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+
+    auto m = mesh::generate_wing_mesh(
+        mesh::WingMeshConfig{.nx = sc.nx, .ny = 3, .nz = 3});
+    cfd::FlowConfig cfg;
+    cfg.model = sc.model;
+    cfg.order = 1;
+    cfd::EulerDiscretization disc(m, cfg);
+    cfd::EulerProblem prob(disc, -1.0);
+    auto x = prob.initial_state();
+    FaultInjector inj(sc.seed);
+    inj.arm(FaultSite::kBitFlip, sc.plan);
+    inj.set_bit_flip(sc.flip);
+    solver::PtcOptions o = sc.opts;
+    o.fault_injector = &inj;
+    o.recovery.checkpoint_every = 1;
+    o.recovery.checkpoint_path = path;
+    const auto res = solver::ptc_solve(prob, x, o);
+
+    const auto [log_crc, ckpt_crc] = golden::crcs(res.recovery_log, path);
+    const std::string what =
+        std::string(g.name) + "\n" + res.recovery_log.to_string();
+    EXPECT_GT(res.recovery_log.count(RecoveryAction::kDetectSdc), 0) << what;
+    EXPECT_EQ(res.recovery_log.size(), g.log_events) << what;
+    EXPECT_EQ(log_crc, g.log_crc) << what;
+    EXPECT_EQ(ckpt_crc, simd::enabled() ? g.ckpt_crc : g.scalar_ckpt_crc)
+        << what;
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+  }
 }
 
 // --- checkpoint integrity: exhaustive corruption sweep --------------------
@@ -680,7 +782,7 @@ TEST(CleanRun, TwoThousandStepsZeroDetectionsAndGuardsAreBitTransparent) {
   cfg.model = cfd::Model::kIncompressible;
   cfg.order = 1;
 
-  auto run = [&](bool guards, int threads) {
+  auto run = [&](bool guards, int threads, bool recovery = true) {
     exec::set_threads(threads);
     cfd::EulerDiscretization disc(m, cfg);
     cfd::EulerProblem prob(disc, -1.0);
@@ -693,13 +795,13 @@ TEST(CleanRun, TwoThousandStepsZeroDetectionsAndGuardsAreBitTransparent) {
     o.schwarz.fill_level = 1;
     o.matrix_free = false;  // ABFT verifies every Krylov product
     o.jacobian_refresh = 4;
-    o.recovery.enabled = true;
+    o.recovery.enabled = recovery;
     o.sdc.enabled = guards;
     auto res = solver::ptc_solve(prob, x, o);
     EXPECT_EQ(res.steps, 2000);
-    EXPECT_EQ(res.sdc_detections, 0);
-    EXPECT_EQ(res.sdc_recomputes, 0);
-    EXPECT_EQ(res.sdc_rollbacks, 0);
+    EXPECT_EQ(res.sdc_detections(), 0);
+    EXPECT_EQ(res.sdc_recomputes(), 0);
+    EXPECT_EQ(res.sdc_rollbacks(), 0);
     EXPECT_EQ(res.recovery_log.count(RecoveryAction::kDetectSdc), 0);
     return x;
   };
@@ -719,6 +821,13 @@ TEST(CleanRun, TwoThousandStepsZeroDetectionsAndGuardsAreBitTransparent) {
                         guarded1.size() * sizeof(double)),
             0)
       << "enabling the SDC guards changed the computed state";
+  // Recovery ladder off too: on a clean run the ladder never engages, so
+  // the plain path must compute the identical state.
+  const auto bare = run(false, 1, false);
+  EXPECT_EQ(std::memcmp(bare.data(), guarded1.data(),
+                        guarded1.size() * sizeof(double)),
+            0)
+      << "enabling the recovery ladder changed the computed state";
   exec::set_threads(before);
 }
 
@@ -749,9 +858,9 @@ TEST(CleanRun, MixedPrecisionTwoThousandStepsZeroFalsePositives) {
   o.sdc.enabled = true;
   auto res = solver::ptc_solve(prob, x, o);
   EXPECT_EQ(res.steps, 2000);
-  EXPECT_EQ(res.sdc_detections, 0);
-  EXPECT_EQ(res.sdc_recomputes, 0);
-  EXPECT_EQ(res.sdc_rollbacks, 0);
+  EXPECT_EQ(res.sdc_detections(), 0);
+  EXPECT_EQ(res.sdc_recomputes(), 0);
+  EXPECT_EQ(res.sdc_rollbacks(), 0);
   EXPECT_EQ(res.recovery_log.count(RecoveryAction::kDetectSdc), 0);
 }
 
@@ -786,7 +895,7 @@ TEST(PtcSdc, MixedPrecisionMatrixFlipDetectedByAbft) {
   o.recovery.enabled = true;
   o.sdc.enabled = true;
   auto res = solver::ptc_solve(prob, x, o);
-  EXPECT_GT(res.sdc_detections, 0)
+  EXPECT_GT(res.sdc_detections(), 0)
       << "float-exponent flip in the mixed-precision operator escaped ABFT";
 }
 
