@@ -109,6 +109,13 @@ struct MeshCase {
   bool shuffle;
 };
 
+// Without this, gtest prints the raw bytes of the struct — including the
+// `name` pointer, which ASLR moves on every run — so the listed test names
+// would differ from one discovery to the next.
+void PrintTo(const MeshCase& c, std::ostream* os) {
+  *os << c.name << " " << c.nx << "x" << c.ny << "x" << c.nz;
+}
+
 class DualClosureProperty : public ::testing::TestWithParam<MeshCase> {};
 
 TEST_P(DualClosureProperty, ClosureHolds) {
