@@ -113,7 +113,8 @@ def check_host_isa(path, meta, errors):
         errors.append(f"{path}: meta.host_isa.simd_compiled must be a bool")
 
 
-SIMD_KERNELS = ("flux_residual", "block_spmv", "ilu0_trisolve", "full_solve")
+SIMD_KERNELS = ("flux_residual", "limiter", "block_spmv", "ilu1_factor",
+                "ilu0_trisolve", "full_solve")
 SIMD_KERNEL_KEYS = (
     "scalar_double_seconds", "simd_double_seconds", "simd_mixed_seconds",
     "speedup_simd_double", "speedup_simd_mixed",

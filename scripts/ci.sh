@@ -22,9 +22,9 @@
 #      degradation ladder's on-time rate drops below 95%, the stall
 #      watchdog false-positives on a clean scenario or misses the stall
 #      scenario, or p99 cancellation latency exceeds the documented
-#      work-unit bound at 1/2/4 threads)
-#      threads), then the self-tuning A/B (writes BENCH_tune.json +
-#      build/tune_db.json; exits nonzero when the tuned config is worse
+#      work-unit bound at 1/2/4 threads), then the self-tuning A/B
+#      (writes BENCH_tune.json + build/tune_db.json; exits nonzero when
+#      the tuned config is worse
 #      than the compiled defaults or the DB round-trip is not
 #      bit-identical), then the scenario-fleet storm campaign (writes
 #      BENCH_fleet.json; exits nonzero when the retry ladder misses a

@@ -45,6 +45,18 @@ inline void sub_arr(bool use_simd, double* dst, const double* src,
       (Vd::loadu(dst + k) - Vd::loadu(src + k)).storeu(dst + k);
   for (; k < n; ++k) dst[k] -= src[k];
 }
+
+/// Store a pack to GS storage, narrowing per lane when GS is float.
+template <class GS>
+inline void store_lanes(const Vd& v, GS* p) {
+  if constexpr (std::is_same_v<GS, double>) {
+    v.storeu(p);
+  } else {
+    double t[simd::kDoubleLanes];
+    v.storeu(t);
+    for (int c = 0; c < simd::kDoubleLanes; ++c) p[c] = static_cast<GS>(t[c]);
+  }
+}
 }  // namespace
 
 std::shared_ptr<const SharedGeometry> SharedGeometry::compute(
@@ -182,6 +194,12 @@ void EulerDiscretization::limiters(const FlowField& q,
   limiters_t<double>(q, grad, phi);
 }
 
+void EulerDiscretization::limiters(const FlowField& q,
+                                   const std::vector<float>& grad,
+                                   std::vector<float>& phi) const {
+  limiters_t<float>(q, grad, phi);
+}
+
 template <class GS>
 void EulerDiscretization::limiters_t(const FlowField& q,
                                      const std::vector<GS>& grad,
@@ -244,6 +262,41 @@ void EulerDiscretization::limiters_t(const FlowField& q,
     return den == 0 ? 1.0 : num / (den * d2);
   };
 
+  // Branch-free pack form of the loop below for interlaced nb == 4, one
+  // component per lane. Every lane does the scalar path's operations in
+  // its order, so phi is bit-identical to it: lanes with d2 == 0 keep
+  // phi, den == 0 lanes give 1, and the max/min selects keep
+  // std::max(0, lim) / std::min(p, .)'s operand order, so NaN lanes come
+  // out as in the scalar code.
+  const bool vec4 =
+      simd::enabled() && st == 1 && ncomp == simd::kDoubleLanes;
+  const Vd zero = Vd::zero(), one = Vd::broadcast(1.0),
+           two = Vd::broadcast(2.0);
+  const double k3 = cfg_.venkat_k * cfg_.venkat_k * cfg_.venkat_k;
+  auto limit_side = [&](int v, double sgn, const double* dx) {
+    const std::size_t vb = static_cast<std::size_t>(v) * simd::kDoubleLanes;
+    const GS* g = &grad[3 * vb];
+    const Vd d2 = Vd::broadcast(sgn) *
+                  ((Vd::loadu(g) * Vd::broadcast(dx[0]) +
+                    Vd::loadu(g + 4) * Vd::broadcast(dx[1])) +
+                   Vd::loadu(g + 8) * Vd::broadcast(dx[2]));
+    const Vd qv = Vd::loadu(qd + vb);
+    const simd::Vm up = d2 > zero;
+    const Vd dplus = Vd::select(up, Vd::loadu(&qmax[vb]) - qv,
+                                -(Vd::loadu(&qmin[vb]) - qv));
+    const Vd ad2 = Vd::select(up, d2, -d2);  // |d2| wherever it is used
+    const Vd eps2 = Vd::broadcast(k3 * dual_.vertex_volume[v]);
+    // venkat(dplus, ad2, eps2), term by term.
+    const Vd dd = dplus * dplus, t = two * ad2 * ad2;
+    const Vd num = (dd + eps2) * ad2 + t * dplus;
+    const Vd den = ((dd + t) + dplus * ad2) + eps2;
+    const Vd lim = Vd::select(den == zero, one, num / (den * ad2));
+    const Vd cap = Vd::select(zero < lim, lim, zero);
+    GS* pv = &phi[vb];
+    const Vd p = Vd::loadu(pv);
+    store_lanes(Vd::select(d2 == zero, p, Vd::select(cap < p, cap, p)), pv);
+  };
+
   for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
     pool.parallel_for(
         coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
@@ -254,6 +307,11 @@ void EulerDiscretization::limiters_t(const FlowField& q,
             const double dx[3] = {coords[j][0] - coords[i][0],
                                   coords[j][1] - coords[i][1],
                                   coords[j][2] - coords[i][2]};
+            if (vec4) {
+              limit_side(i, 0.5, dx);
+              limit_side(j, -0.5, dx);
+              continue;
+            }
             const std::size_t bi = q.base(i), bj = q.base(j);
             for (int c = 0; c < ncomp; ++c) {
               // Limit both endpoints' reconstructions toward the edge

@@ -111,9 +111,12 @@ public:
   void gradients(const FlowField& q, std::vector<double>& grad) const;
 
   /// Venkatakrishnan limiter values per (vertex, component) given the
-  /// gradients. 1 = unlimited. Exposed for tests.
+  /// gradients. 1 = unlimited. The float overload is the
+  /// reco_single_precision storage. Exposed for tests.
   void limiters(const FlowField& q, const std::vector<double>& grad,
                 std::vector<double>& phi) const;
+  void limiters(const FlowField& q, const std::vector<float>& grad,
+                std::vector<float>& phi) const;
 
   /// Approximate floating-point work of one residual() call (for Gflop/s
   /// reporting in the parallel experiments).

@@ -2,8 +2,12 @@
 // Small dense-block kernels used by the block sparse (BAIJ) path: in-place
 // LU factorization of nb-by-nb diagonal blocks, triangular solves with
 // them, and block multiply-accumulate. Blocks are stored row-major and are
-// small (nb = 4 incompressible, nb = 5 compressible), so everything is a
-// straightforward register-friendly triple loop.
+// small (nb = 4 incompressible, nb = 5 compressible). The generic code is
+// plain scalar loops; at nb == 4 with the SIMD dispatch on, gemv_acc,
+// gemv_sub and gemm_sub hold one block row per f3d::simd::Vd instead.
+// gemm_sub's pack path does each element's scalar operations in the
+// scalar order, so it is bit-identical in both SIMD configurations; the
+// gemv paths round their row dots in the pack's fixed pairwise order.
 
 #include <cstddef>
 #include <type_traits>
@@ -25,6 +29,16 @@ template <class TA, class TX, class TY>
 inline constexpr bool kGemvSimdEligible =
     std::is_same_v<TX, double> && std::is_same_v<TY, double> &&
     (std::is_same_v<TA, double> || std::is_same_v<TA, float>);
+
+// The four row dots of a 4x4 block with x: lane i is
+// (row_i(A) * x).hsum(), all four reduced by one Vd::hsum4.
+template <class TA>
+inline simd::Vd row_dots4(const TA* a, const double* x) {
+  using simd::Vd;
+  const Vd xv = Vd::loadu(x);
+  return Vd::hsum4(Vd::loadu(a) * xv, Vd::loadu(a + 4) * xv,
+                   Vd::loadu(a + 8) * xv, Vd::loadu(a + 12) * xv);
+}
 }  // namespace detail
 
 /// y += A * x for a row-major nb x nb block.
@@ -32,12 +46,7 @@ template <class TA, class TX, class TY>
 inline void gemv_acc(int nb, const TA* a, const TX* x, TY* y) {
   if constexpr (detail::kGemvSimdEligible<TA, TX, TY>) {
     if (nb == simd::kDoubleLanes && simd::enabled()) {
-      const simd::Vd xv = simd::Vd::loadu(x);
-      for (int i = 0; i < simd::kDoubleLanes; ++i)
-        y[i] += (simd::Vd::loadu(a + static_cast<std::size_t>(i) *
-                                         simd::kDoubleLanes) *
-                 xv)
-                    .hsum();
+      (simd::Vd::loadu(y) + detail::row_dots4(a, x)).storeu(y);
       return;
     }
   }
@@ -54,12 +63,7 @@ template <class TA, class TX, class TY>
 inline void gemv_sub(int nb, const TA* a, const TX* x, TY* y) {
   if constexpr (detail::kGemvSimdEligible<TA, TX, TY>) {
     if (nb == simd::kDoubleLanes && simd::enabled()) {
-      const simd::Vd xv = simd::Vd::loadu(x);
-      for (int i = 0; i < simd::kDoubleLanes; ++i)
-        y[i] -= (simd::Vd::loadu(a + static_cast<std::size_t>(i) *
-                                         simd::kDoubleLanes) *
-                 xv)
-                    .hsum();
+      (simd::Vd::loadu(y) - detail::row_dots4(a, x)).storeu(y);
       return;
     }
   }
@@ -71,9 +75,23 @@ inline void gemv_sub(int nb, const TA* a, const TX* x, TY* y) {
   }
 }
 
-/// C -= A * B (all row-major nb x nb blocks).
+/// C -= A * B (all row-major nb x nb blocks; C aliases neither A nor B).
 template <class T>
 inline void gemm_sub(int nb, const T* a, const T* b, T* c) {
+  if constexpr (std::is_same_v<T, double>) {
+    if (nb == simd::kDoubleLanes && simd::enabled()) {
+      // row_i(C) -= a_ik * row_k(B) in k order: per element exactly the
+      // scalar loop's c_ij -= a_ik * b_kj sequence below.
+      using simd::Vd;
+      for (int i = 0; i < 4; ++i) {
+        Vd ci = Vd::loadu(c + 4 * i);
+        for (int k = 0; k < 4; ++k)
+          ci -= Vd::broadcast(a[4 * i + k]) * Vd::loadu(b + 4 * k);
+        ci.storeu(c + 4 * i);
+      }
+      return;
+    }
+  }
   for (int i = 0; i < nb; ++i) {
     for (int k = 0; k < nb; ++k) {
       const T aik = a[static_cast<std::size_t>(i) * nb + k];

@@ -26,6 +26,7 @@
 // false — the scalar-fallback CI lane exercises the plain loops only.
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 
 namespace f3d::simd {
@@ -105,6 +106,22 @@ private:
 
 /// Lanes the dispatched kernels actually use right now.
 [[nodiscard]] inline int double_lanes() { return enabled() ? kDoubleLanes : 1; }
+
+/// Per-lane result of a Vd compare: all-ones or all-zero 64-bit lanes in
+/// the vector build, one bool per lane in the fallback. Consumed by
+/// Vd::select, which is how the branch-free kernels keep a scalar
+/// branch's exact per-lane outcome (NaN lanes compare false, as in C++).
+struct Vm {
+#if F3D_SIMD_HAVE_VEC
+  typedef std::int64_t Raw
+      __attribute__((vector_size(kDoubleLanes * sizeof(std::int64_t))));
+  Raw r;
+#else
+  bool r[kDoubleLanes];
+#endif
+
+  [[nodiscard]] bool lane(int i) const { return r[i] != 0; }
+};
 
 /// Four doubles. All loads are memcpy-based (UBSan-clean on unaligned
 /// addresses); loading from float promotes per lane — the one place
@@ -186,6 +203,39 @@ struct Vd {
     return (lane(0) + lane(1)) + (lane(2) + lane(3));
   }
 
+  /// Four horizontal sums at once: lane i of the result is
+  /// rows[i].hsum(), bit for bit — a shuffle transpose that combines
+  /// every lane in the same (l0 + l1) + (l2 + l3) tree as hsum().
+  [[nodiscard]] static Vd hsum4(const Vd& a, const Vd& b, const Vd& c,
+                                const Vd& d) {
+    Vd v;
+#if F3D_SIMD_HAVE_VEC
+    // (a0+a1, b0+b1, a2+a3, b2+b3) and the same for c, d; then add the
+    // (l0+l1) halves to the (l2+l3) halves.
+    const Raw ab = shuffle<0, 4, 2, 6>(a.r, b.r) + shuffle<1, 5, 3, 7>(a.r, b.r);
+    const Raw cd = shuffle<0, 4, 2, 6>(c.r, d.r) + shuffle<1, 5, 3, 7>(c.r, d.r);
+    v.r = shuffle<0, 1, 4, 5>(ab, cd) + shuffle<2, 3, 6, 7>(ab, cd);
+#else
+    v.r[0] = a.hsum();
+    v.r[1] = b.hsum();
+    v.r[2] = c.hsum();
+    v.r[3] = d.hsum();
+#endif
+    return v;
+  }
+
+  /// Lane-wise `m ? a : b`, choosing each lane's bits unchanged.
+  [[nodiscard]] static Vd select(const Vm& m, const Vd& a, const Vd& b) {
+    Vd v;
+#if F3D_SIMD_HAVE_VEC
+    // Vector casts reinterpret the bits; the blend never rounds.
+    v.r = (Raw)((m.r & (Vm::Raw)a.r) | (~m.r & (Vm::Raw)b.r));
+#else
+    for (int i = 0; i < kDoubleLanes; ++i) v.r[i] = m.r[i] ? a.r[i] : b.r[i];
+#endif
+    return v;
+  }
+
   Vd& operator+=(const Vd& o) {
 #if F3D_SIMD_HAVE_VEC
     r += o.r;
@@ -211,9 +261,64 @@ struct Vd {
     return *this;
   }
 
+  Vd& operator/=(const Vd& o) {
+#if F3D_SIMD_HAVE_VEC
+    r /= o.r;
+#else
+    for (int i = 0; i < kDoubleLanes; ++i) r[i] /= o.r[i];
+#endif
+    return *this;
+  }
+
   friend Vd operator+(Vd a, const Vd& b) { return a += b; }
   friend Vd operator-(Vd a, const Vd& b) { return a -= b; }
   friend Vd operator*(Vd a, const Vd& b) { return a *= b; }
+  friend Vd operator/(Vd a, const Vd& b) { return a /= b; }
+
+  /// Sign flip per lane, like scalar unary minus (not 0 - x: -0.0 stays
+  /// distinct from +0.0).
+  friend Vd operator-(Vd a) {
+#if F3D_SIMD_HAVE_VEC
+    a.r = -a.r;
+#else
+    for (double& x : a.r) x = -x;
+#endif
+    return a;
+  }
+
+  // Ordered compares, false on NaN lanes like the scalar operators.
+  friend Vm operator<(const Vd& a, const Vd& b) {
+    Vm m;
+#if F3D_SIMD_HAVE_VEC
+    m.r = (Vm::Raw)(a.r < b.r);
+#else
+    for (int i = 0; i < kDoubleLanes; ++i) m.r[i] = a.r[i] < b.r[i];
+#endif
+    return m;
+  }
+  friend Vm operator>(const Vd& a, const Vd& b) { return b < a; }
+  friend Vm operator==(const Vd& a, const Vd& b) {
+    Vm m;
+#if F3D_SIMD_HAVE_VEC
+    m.r = (Vm::Raw)(a.r == b.r);
+#else
+    for (int i = 0; i < kDoubleLanes; ++i) m.r[i] = a.r[i] == b.r[i];
+#endif
+    return m;
+  }
+
+private:
+#if F3D_SIMD_HAVE_VEC
+  // Two-source lane shuffle (indices 0-3 pick from x, 4-7 from y).
+  template <int I0, int I1, int I2, int I3>
+  static Raw shuffle(const Raw& x, const Raw& y) {
+#if defined(__clang__) || __GNUC__ >= 12
+    return __builtin_shufflevector(x, y, I0, I1, I2, I3);
+#else
+    return __builtin_shuffle(x, y, Vm::Raw{I0, I1, I2, I3});
+#endif
+  }
+#endif
 };
 
 }  // namespace f3d::simd

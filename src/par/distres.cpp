@@ -521,7 +521,6 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
       const int bit = opts.injector->bit_flip().bit;
       if (opts.sdc_guards && bit >= opts.sdc_caught_min_bit) {
         ++r.sdc_caught;
-        obs::Registry::global().count("resilience.sdc_detected");
         r.log.add(s, resilience::RecoveryAction::kDetectSdc,
                   "halo payload bit " + std::to_string(bit) + " flipped into rank " +
                       std::to_string(rank) + ", caught downstream");

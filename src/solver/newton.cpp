@@ -244,7 +244,6 @@ struct SdcPolicy {
   }
 
   bool detect(SolveState& s, const std::string& what) {
-    obs::Registry::global().count("resilience.sdc_detected");
     s.note(kDetectSdc, what);
     flagged = true;
     return false;

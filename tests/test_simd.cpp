@@ -15,10 +15,12 @@
 #include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "cfd/euler.hpp"
 #include "cfd/problem.hpp"
+#include "common/densemat.hpp"
 #include "common/simd.hpp"
 #include "exec/pool.hpp"
 #include "exec/reduce.hpp"
@@ -43,7 +45,9 @@ TEST(SimdWrapper, ReportsConsistentConfig) {
   EXPECT_NE(simd::isa_name(), nullptr);
   EXPECT_NE(simd::target_arch(), nullptr);
   // enabled() can never claim SIMD that was not compiled in.
-  if (!simd::compiled()) EXPECT_FALSE(simd::enabled());
+  if (!simd::compiled()) {
+    EXPECT_FALSE(simd::enabled());
+  }
 }
 
 TEST(SimdWrapper, EnabledScopeTogglesAndRestores) {
@@ -121,6 +125,62 @@ TEST(SimdWrapper, ArithmeticOperatorsMatchScalarLanewise) {
     EXPECT_EQ(acc.lane(i), a[i] + b[i]);
     EXPECT_EQ(acc2.lane(i), a[i] - b[i]);
     EXPECT_EQ(acc3.lane(i), a[i] * b[i]);
+  }
+
+  // The branch-free kernels' ops, on ordinary, signed-zero, infinite and
+  // NaN lanes (0/0, inf/inf and x/0 included): results must carry the
+  // scalar operation's exact bits, and compares must be false on NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double c[4] = {0.0, -0.0, inf, nan};
+  const double d[4] = {-0.0, 0.0, -inf, 1.0};
+  auto bits_eq = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  };
+  for (const double* x : {a, c, d}) {
+    for (const double* y : {b, c, d}) {
+      const Vd vx = Vd::loadu(x), vy = Vd::loadu(y);
+      Vd acc4 = vx;
+      acc4 /= vy;
+      const Vd quo = vx / vy, neg = -vx;
+      const simd::Vm lt = vx < vy, gt = vx > vy, eq = vx == vy;
+      const Vd sel = Vd::select(lt, vx, vy);
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_TRUE(bits_eq(quo.lane(i), x[i] / y[i])) << x[i] << "/" << y[i];
+        EXPECT_TRUE(bits_eq(acc4.lane(i), x[i] / y[i])) << x[i] << "/" << y[i];
+        EXPECT_TRUE(bits_eq(neg.lane(i), -x[i])) << x[i];
+        EXPECT_EQ(lt.lane(i), x[i] < y[i]) << x[i] << "<" << y[i];
+        EXPECT_EQ(gt.lane(i), x[i] > y[i]) << x[i] << ">" << y[i];
+        EXPECT_EQ(eq.lane(i), x[i] == y[i]) << x[i] << "==" << y[i];
+        EXPECT_TRUE(bits_eq(sel.lane(i), x[i] < y[i] ? x[i] : y[i]))
+            << x[i] << "," << y[i];
+      }
+    }
+  }
+}
+
+TEST(SimdWrapper, Hsum4EqualsFourHsumsBitwise) {
+  // Rows where association order matters, plus -0.0, inf - inf and NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double rows[4][4] = {{1.0, 1e-16, -1.0, 1e-16},
+                             {-0.0, -0.0, -0.0, -0.0},
+                             {inf, -inf, 1.0, 2.0},
+                             {3.0, std::numeric_limits<double>::quiet_NaN(),
+                              1e300, 1e300}};
+  const Vd r[4] = {Vd::loadu(rows[0]), Vd::loadu(rows[1]),
+                   Vd::loadu(rows[2]), Vd::loadu(rows[3])};
+  for (int rot = 0; rot < 4; ++rot) {  // every row in every lane
+    const Vd& a = r[rot % 4];
+    const Vd& b = r[(rot + 1) % 4];
+    const Vd& c = r[(rot + 2) % 4];
+    const Vd& d = r[(rot + 3) % 4];
+    const Vd h = Vd::hsum4(a, b, c, d);
+    const double want[4] = {a.hsum(), b.hsum(), c.hsum(), d.hsum()};
+    for (int i = 0; i < 4; ++i) {
+      const double got = h.lane(i);
+      EXPECT_EQ(std::memcmp(&got, &want[i], sizeof got), 0)
+          << "rotation " << rot << ", lane " << i;
+    }
   }
 }
 
@@ -245,6 +305,233 @@ TEST(SimdConfig, TrisolveLevelScheduleMatchesSerialInBothConfigs) {
     }
   }
   exec::set_threads(before);
+}
+
+// --- the nb == 4 pack kernels against their scalar references -----------
+
+// A wing state far from freestream, so Jacobian blocks are all distinct.
+cfd::FlowField perturbed_state(const cfd::EulerDiscretization& disc) {
+  auto q = disc.make_freestream_field();
+  auto& qd = q.data();
+  for (std::size_t i = 0; i < qd.size(); ++i)
+    qd[i] += 0.05 * std::sin(0.37 * static_cast<double>(i));
+  return q;
+}
+
+TEST(SimdConfig, BlockIluFactorIsBitIdenticalScalarVsSimd) {
+  // gemm_sub's pack path does each element's scalar operations in order,
+  // so the whole ILU(1) factor (which also runs the scalar
+  // right_lu_solve_block and lu_factor) is byte-identical in both configs.
+  auto m = mesh::generate_wing_mesh(
+      mesh::WingMeshConfig{.nx = 6, .ny = 4, .nz = 4});
+  cfd::FlowConfig cfg;
+  cfg.model = cfd::Model::kIncompressible;
+  cfd::EulerDiscretization disc(m, cfg);
+  auto jac = disc.allocate_jacobian();
+  disc.jacobian(perturbed_state(disc), jac);
+  for (int i = 0; i < jac.nrows; ++i) {
+    double* blk = jac.find_block(i, i);
+    for (int c = 0; c < jac.nb; ++c)
+      blk[static_cast<std::size_t>(c) * jac.nb + c] += 1.0;
+  }
+  ASSERT_EQ(jac.nb, simd::kDoubleLanes);
+  const auto pat = sparse::ilu_symbolic(jac, 1);
+  sparse::BlockIlu<double> off, on;
+  {
+    simd::EnabledScope scope(false);
+    off = sparse::ilu_factor_block<double>(jac, pat);
+  }
+  {
+    simd::EnabledScope scope(true);
+    on = sparse::ilu_factor_block<double>(jac, pat);
+  }
+  ASSERT_EQ(off.val.size(), on.val.size());
+  EXPECT_EQ(std::memcmp(off.val.data(), on.val.data(),
+                        off.val.size() * sizeof(double)),
+            0);
+}
+
+// BlockIlu::solve as it was written before hsum4: every block row's dot
+// is its own reduction — a pack product and hsum() with SIMD on, the
+// sequential scalar sum with it off.
+void per_row_hsum_solve(const sparse::BlockIlu<double>& ilu, const double* b,
+                        double* x) {
+  const int n = ilu.pat.n;
+  const int nb = ilu.nb;
+  const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
+  auto sub = [&](int p, int j, double* xi) {
+    const double* a = &ilu.val[static_cast<std::size_t>(p) * bsz];
+    const double* xj = x + static_cast<std::size_t>(j) * nb;
+    for (int r = 0; r < nb; ++r) {
+      const double* row = a + static_cast<std::size_t>(r) * nb;
+      double s = 0;
+      if (simd::enabled()) {
+        s = (Vd::loadu(row) * Vd::loadu(xj)).hsum();
+      } else {
+        for (int c = 0; c < nb; ++c) s += row[c] * xj[c];
+      }
+      xi[r] -= s;
+    }
+  };
+  for (int i = 0; i < n; ++i) {
+    double* xi = x + static_cast<std::size_t>(i) * nb;
+    for (int c = 0; c < nb; ++c) xi[c] = b[static_cast<std::size_t>(i) * nb + c];
+    for (int p = ilu.pat.ptr[i]; p < ilu.pat.diag[i]; ++p)
+      sub(p, ilu.pat.col[p], xi);
+  }
+  double tmp[4];
+  for (int i = n - 1; i >= 0; --i) {
+    double* xi = x + static_cast<std::size_t>(i) * nb;
+    for (int p = ilu.pat.diag[i] + 1; p < ilu.pat.ptr[i + 1]; ++p)
+      sub(p, ilu.pat.col[p], xi);
+    dense::lu_solve(nb, &ilu.val[static_cast<std::size_t>(ilu.pat.diag[i]) * bsz],
+                    xi, tmp);
+    for (int c = 0; c < nb; ++c) xi[c] = tmp[c];
+  }
+}
+
+TEST(SimdConfig, BlockIluSolveMatchesPerRowHsumReference) {
+  auto m = mesh::generate_wing_mesh(
+      mesh::WingMeshConfig{.nx = 5, .ny = 4, .nz = 3});
+  cfd::FlowConfig cfg;
+  cfg.model = cfd::Model::kIncompressible;
+  cfg.order = 1;
+  cfd::EulerDiscretization disc(m, cfg);
+  const auto jac = wing_jacobian(disc);
+  ASSERT_EQ(jac.nb, simd::kDoubleLanes);
+  const auto pat = sparse::ilu_symbolic(jac, 1);
+  const auto ilu = sparse::ilu_factor_block<double>(jac, pat);
+  const int n = jac.scalar_n();
+  const auto b = pattern_vector(n, 0.25);
+  for (bool use_simd : {false, true}) {
+    simd::EnabledScope scope(use_simd);
+    std::vector<double> got(static_cast<std::size_t>(n)),
+        want(static_cast<std::size_t>(n));
+    ilu.solve(b.data(), got.data());
+    per_row_hsum_solve(ilu, b.data(), want.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+              0)
+        << "simd=" << use_simd;
+  }
+}
+
+// A 4-component field built to reach every branch of the limiter's phi
+// pass: component 0 is rough (phi < 1, d2 of both signs) with one NaN
+// vertex whose neighbours get NaN gradients, component 1 is linear in
+// x, component 2 is ~1e-200 so that with venkat_k = 0 (eps2 = 0) d2^2
+// underflows and den == 0 at its local extrema, and component 3 is flat
+// (d2 == 0 on every edge).
+cfd::FlowField limiter_field(const mesh::UnstructuredMesh& m) {
+  cfd::FlowField q(m.num_vertices(), 4, sparse::FieldLayout::kInterlaced);
+  for (int v = 0; v < m.num_vertices(); ++v) {
+    q.set(v, 0, 1.0 + 0.3 * std::sin(1.7 * v));
+    q.set(v, 1, 0.5 + 0.1 * m.coords()[static_cast<std::size_t>(v)][0]);
+    q.set(v, 2, 1e-200 * std::sin(0.91 * v));
+    q.set(v, 3, 2.0);
+  }
+  q.set(m.num_vertices() / 2, 0, std::numeric_limits<double>::quiet_NaN());
+  return q;
+}
+
+struct LimiterCases {
+  int d2_zero = 0, d2_neg = 0, den_zero = 0;
+};
+
+// Counts, over every (edge side, component), which branch the limiter
+// takes — recomputed here from the same inputs so the test proves its
+// field reaches each one.
+template <class GS>
+LimiterCases count_limiter_cases(const mesh::UnstructuredMesh& m,
+                                 const cfd::FlowField& q,
+                                 const std::vector<GS>& grad) {
+  std::vector<double> qmin(q.data()), qmax(q.data());
+  for (const auto& e : m.edges())
+    for (int c = 0; c < 4; ++c)
+      for (int side = 0; side < 2; ++side) {
+        const int v = e[side], w = e[1 - side];
+        qmin[v * 4 + c] = std::min(qmin[v * 4 + c], q.get(w, c));
+        qmax[v * 4 + c] = std::max(qmax[v * 4 + c], q.get(w, c));
+      }
+  LimiterCases n;
+  for (const auto& e : m.edges()) {
+    const auto& xi = m.coords()[static_cast<std::size_t>(e[0])];
+    const auto& xj = m.coords()[static_cast<std::size_t>(e[1])];
+    const double dx[3] = {xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]};
+    for (int side = 0; side < 2; ++side) {
+      const int v = e[side];
+      for (int c = 0; c < 4; ++c) {
+        const GS* g = &grad[static_cast<std::size_t>(v) * 12 + c];
+        const double d2 = (side == 0 ? 0.5 : -0.5) *
+                          (static_cast<double>(g[0]) * dx[0] +
+                           static_cast<double>(g[4]) * dx[1] +
+                           static_cast<double>(g[8]) * dx[2]);
+        if (d2 == 0) {
+          ++n.d2_zero;
+          continue;
+        }
+        if (d2 < 0) ++n.d2_neg;
+        const double dplus = d2 > 0 ? qmax[v * 4 + c] - q.get(v, c)
+                                    : q.get(v, c) - qmin[v * 4 + c];
+        const double ad2 = std::abs(d2);
+        if (dplus * dplus + 2 * ad2 * ad2 + dplus * ad2 == 0) ++n.den_zero;
+      }
+    }
+  }
+  return n;
+}
+
+TEST(SimdConfig, LimitersAreBitIdenticalScalarVsSimd) {
+  // The branch-free phi pass gives the scalar branches' exact bits in
+  // both storage precisions. den == 0 is reached with double storage
+  // only: a float gradient cannot be small enough for d2^2 to underflow
+  // on a unit-scale mesh.
+  auto m = mesh::generate_wing_mesh(
+      mesh::WingMeshConfig{.nx = 6, .ny = 4, .nz = 4});
+  cfd::FlowConfig cfg;
+  cfg.model = cfd::Model::kIncompressible;
+  cfg.order = 2;
+  cfg.venkat_k = 0.0;
+  cfd::EulerDiscretization disc(m, cfg);
+  const auto q = limiter_field(m);
+  std::vector<double> grad;
+  disc.gradients(q, grad);
+  const std::vector<float> grad_f(grad.begin(), grad.end());
+
+  const auto cases = count_limiter_cases(m, q, grad);
+  EXPECT_GT(cases.d2_zero, 0);
+  EXPECT_GT(cases.d2_neg, 0);
+  EXPECT_GT(cases.den_zero, 0);
+  const auto cases_f = count_limiter_cases(m, q, grad_f);
+  EXPECT_GT(cases_f.d2_zero, 0);
+  EXPECT_GT(cases_f.d2_neg, 0);
+
+  std::vector<double> phi_off, phi_on;
+  std::vector<float> phi_off_f, phi_on_f;
+  {
+    simd::EnabledScope scope(false);
+    disc.limiters(q, grad, phi_off);
+    disc.limiters(q, grad_f, phi_off_f);
+  }
+  {
+    simd::EnabledScope scope(true);
+    disc.limiters(q, grad, phi_on);
+    disc.limiters(q, grad_f, phi_on_f);
+  }
+  auto below_one = [](const auto& phi) {
+    int k = 0;
+    for (auto p : phi) k += p < 1 ? 1 : 0;
+    return k;
+  };
+  EXPECT_GT(below_one(phi_off), 0);
+  EXPECT_GT(below_one(phi_off_f), 0);
+  ASSERT_EQ(phi_on.size(), phi_off.size());
+  ASSERT_EQ(phi_on_f.size(), phi_off_f.size());
+  EXPECT_EQ(std::memcmp(phi_on.data(), phi_off.data(),
+                        phi_on.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(phi_on_f.data(), phi_off_f.data(),
+                        phi_on_f.size() * sizeof(float)),
+            0);
 }
 
 // --- mixed precision (float storage, double accumulate) -------------------

@@ -175,8 +175,9 @@ TEST(Formats, ConvertLayoutInvolutionPropertySweep) {
         EXPECT_EQ(x, z) << "n=" << n << " nb=" << nb;
         // nb == 1 (and n == 1): the two layouts coincide, so a single
         // conversion is already the identity.
-        if (nb == 1 || n == 1)
+        if (nb == 1 || n == 1) {
           EXPECT_EQ(x, y) << "n=" << n << " nb=" << nb;
+        }
       }
     }
   }
