@@ -41,7 +41,8 @@
 #   4. ASan+UBSan build + the resilience-labelled tests (the fault
 #      injection / recovery / checkpoint / distributed-campaign paths,
 #      where memory bugs would hide behind error handling) + the driver-
-#      (plain psi-NKS path), sdc-, failslow- and simd-labelled tests
+#      (plain psi-NKS path), sparse- (formats, ILU, the in-place block-ILU
+#      refactor's buffer reuse), sdc-, failslow- and simd-labelled tests
 #      under the same sanitizers
 #   5. TSan build + the threaded-labelled tests (the exec pool, colored
 #      scatters, level-scheduled solves) with a 4-thread pool
@@ -156,6 +157,7 @@ cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 ctest --preset asan-resilience -j "$JOBS"
 ctest --preset asan-driver -j "$JOBS"
+ctest --preset asan-sparse -j "$JOBS"
 ctest --preset asan-sdc -j "$JOBS"
 ctest --preset asan-failslow -j "$JOBS"
 ctest --preset asan-tune -j "$JOBS"

@@ -75,11 +75,20 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
       // within the subdomain set, so local columns are already sorted.
     }
     if (opts_.subdomain_solver == SubdomainSolver::kIlu) {
-      sd.pattern = sparse::ilu_symbolic(sd.local, opts_.fill_level);
+      auto pattern = sparse::ilu_symbolic(sd.local, opts_.fill_level);
       // Level schedules of the triangular solves, computed once: the
       // pattern is fixed across Newton refactorizations.
-      sd.fwd = sparse::lower_levels(sd.pattern);
-      sd.bwd = sparse::upper_levels(sd.pattern);
+      sd.fwd = sparse::lower_levels(pattern);
+      sd.bwd = sparse::upper_levels(pattern);
+      // The factor keeps the pattern and, from the first factorization
+      // on, one value buffer that every refresh refactors in place.
+      if (opts_.single_precision) {
+        sd.ilu_f.nb = nb_;
+        sd.ilu_f.pat = std::move(pattern);
+      } else {
+        sd.ilu_d.nb = nb_;
+        sd.ilu_d.pat = std::move(pattern);
+      }
     }
 
     for (int k = 0; k < nl; ++k) global_to_local[sd.vertices[k]] = -1;
@@ -134,18 +143,13 @@ bool SchwarzPreconditioner::factor_checked(Subdomain& sd, std::string* err) {
         return false;
       }
     }
-    sd.ilu_d = {};
-    sd.ilu_f = {};
     return true;
   }
   sparse::IluFactorStatus status;
-  if (opts_.single_precision) {
-    sd.ilu_f = sparse::ilu_factor_block<float>(sd.local, sd.pattern, &status);
-    sd.ilu_d = {};
-  } else {
-    sd.ilu_d = sparse::ilu_factor_block<double>(sd.local, sd.pattern, &status);
-    sd.ilu_f = {};
-  }
+  if (opts_.single_precision)
+    sd.ilu_f.refactor(sd.local, &status);
+  else
+    sd.ilu_d.refactor(sd.local, &status);
   if (!status.ok && err != nullptr)
     *err = "singular diagonal block in block ILU at local row " +
            std::to_string(status.bad_row);
@@ -310,11 +314,9 @@ std::vector<int> SchwarzPreconditioner::subdomain_sizes() const {
 
 std::size_t SchwarzPreconditioner::factor_bytes() const {
   std::size_t bytes = 0;
-  for (const auto& sd : subs_) {
-    const std::size_t scalars =
-        sd.pattern.nnz() * static_cast<std::size_t>(nb_) * nb_;
-    bytes += scalars * (opts_.single_precision ? sizeof(float) : sizeof(double));
-  }
+  for (const auto& sd : subs_)
+    bytes += sd.ilu_d.val.size() * sizeof(double) +
+             sd.ilu_f.val.size() * sizeof(float);
   return bytes;
 }
 

@@ -97,11 +97,12 @@ private:
     std::vector<int> vertices;  ///< global vertex ids (owned + overlap)
     std::vector<char> owned;    ///< parallel to vertices
     sparse::Bcsr<double> local; ///< extracted local matrix
-    sparse::IluPattern pattern;
     sparse::TriSchedule fwd;    ///< level schedule of the L solve
     sparse::TriSchedule bwd;    ///< level schedule of the U solve
-    sparse::BlockIlu<double> ilu_d;  ///< populated if !single_precision
-    sparse::BlockIlu<float> ilu_f;   ///< populated if single_precision
+    /// The ILU factor (pattern and values), refactored in place on every
+    /// refresh: ilu_d if !single_precision, else ilu_f; the other is empty.
+    sparse::BlockIlu<double> ilu_d;
+    sparse::BlockIlu<float> ilu_f;
     std::vector<double> diag_lu;     ///< factored diagonal blocks (SSOR)
   };
 

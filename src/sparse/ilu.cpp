@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "common/densemat.hpp"
 #include "common/error.hpp"
@@ -171,57 +172,64 @@ std::vector<double> factor_point_double(const Csr<double>& a,
   return val;
 }
 
-std::vector<double> factor_block_double(const Bcsr<double>& a,
-                                        const IluPattern& pat,
-                                        IluFactorStatus* status) {
+// Shared numeric block ILU in double, into `val` (pat.nnz() blocks of
+// a.nb * a.nb). Whatever `val` held before is overwritten.
+void factor_block_into(const Bcsr<double>& a, const IluPattern& pat,
+                       double* val, IluFactorStatus* status) {
   F3D_OBS_SPAN("ilu.factor");
   obs::Registry::global().count("sparse.ilu.factorizations");
   F3D_CHECK(a.nrows == pat.n);
   const int n = pat.n;
   const int nb = a.nb;
   const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
-  std::vector<double> val(pat.nnz() * bsz, 0.0);
 
+  // Scatter A into the (superset) pattern in one walk of each row: every
+  // pattern entry gets A's block or zeros, so fill positions start from
+  // zero even in a buffer that held another factor. An A entry the
+  // pattern lacks is never matched, which leaves p short of the row end.
   for (int i = 0; i < n; ++i) {
-    int q = pat.ptr[i];
-    for (int p = a.ptr[i]; p < a.ptr[i + 1]; ++p) {
-      const int j = a.col[p];
-      while (pat.col[q] < j) ++q;
-      F3D_CHECK_MSG(pat.col[q] == j, "pattern does not contain A");
-      std::copy_n(&a.val[p * bsz], bsz, &val[q * bsz]);
+    int p = a.ptr[i];
+    for (int q = pat.ptr[i]; q < pat.ptr[i + 1]; ++q) {
+      double* dst = val + static_cast<std::size_t>(q) * bsz;
+      if (p < a.ptr[i + 1] && a.col[p] == pat.col[q]) {
+        std::copy_n(&a.val[static_cast<std::size_t>(p) * bsz], bsz, dst);
+        ++p;
+      } else {
+        std::fill_n(dst, bsz, 0.0);
+      }
     }
+    F3D_CHECK_MSG(p == a.ptr[i + 1], "pattern does not contain A");
   }
 
   for (int i = 0; i < n; ++i) {
     for (int pos = pat.ptr[i]; pos < pat.diag[i]; ++pos) {
       const int k = pat.col[pos];
-      double* blk_ik = &val[static_cast<std::size_t>(pos) * bsz];
+      double* blk_ik = val + static_cast<std::size_t>(pos) * bsz;
       // blk_ik := blk_ik * (A_kk)^{-1}; A_kk already holds its LU factors.
-      dense::right_lu_solve_block(nb, &val[static_cast<std::size_t>(pat.diag[k]) * bsz],
-                                  blk_ik);
+      dense::right_lu_solve_block(
+          nb, val + static_cast<std::size_t>(pat.diag[k]) * bsz, blk_ik);
       int r = pos + 1;
       for (int u = pat.diag[k] + 1; u < pat.ptr[k + 1]; ++u) {
         const int j = pat.col[u];
         while (r < pat.ptr[i + 1] && pat.col[r] < j) ++r;
         if (r == pat.ptr[i + 1]) break;
         if (pat.col[r] == j)
-          dense::gemm_sub(nb, blk_ik, &val[static_cast<std::size_t>(u) * bsz],
-                          &val[static_cast<std::size_t>(r) * bsz]);
+          dense::gemm_sub(nb, blk_ik, val + static_cast<std::size_t>(u) * bsz,
+                          val + static_cast<std::size_t>(r) * bsz);
       }
     }
     const bool ok =
-        dense::lu_factor(nb, &val[static_cast<std::size_t>(pat.diag[i]) * bsz]);
+        dense::lu_factor(nb, val + static_cast<std::size_t>(pat.diag[i]) * bsz);
     if (!ok) {
       if (status != nullptr) {
         status->ok = false;
         status->bad_row = i;
-        return val;
+        return;
       }
       F3D_NUMERIC_CHECK_MSG(ok, "singular diagonal block in block ILU at row " +
                                     std::to_string(i));
     }
   }
-  return val;
 }
 
 }  // namespace
@@ -232,8 +240,26 @@ PointIlu<S> ilu_factor_point(const Csr<double>& a, const IluPattern& pat,
   PointIlu<S> out;
   out.pat = pat;
   auto v = factor_point_double(a, pat, status);
-  out.val.assign(v.begin(), v.end());
+  if constexpr (std::is_same_v<S, double>) {
+    out.val = std::move(v);
+  } else {
+    out.val.assign(v.begin(), v.end());
+  }
   return out;
+}
+
+template <class S>
+void BlockIlu<S>::refactor(const Bcsr<double>& a, IluFactorStatus* status) {
+  F3D_CHECK(a.nb == nb);
+  const std::size_t size = pat.nnz() * static_cast<std::size_t>(nb) * nb;
+  val.resize(size);
+  if constexpr (std::is_same_v<S, double>) {
+    factor_block_into(a, pat, val.data(), status);
+  } else {
+    std::vector<double> work(size);
+    factor_block_into(a, pat, work.data(), status);
+    std::copy(work.begin(), work.end(), val.begin());
+  }
 }
 
 template <class S>
@@ -242,8 +268,7 @@ BlockIlu<S> ilu_factor_block(const Bcsr<double>& a, const IluPattern& pat,
   BlockIlu<S> out;
   out.nb = a.nb;
   out.pat = pat;
-  auto v = factor_block_double(a, pat, status);
-  out.val.assign(v.begin(), v.end());
+  out.refactor(a, status);
   return out;
 }
 

@@ -9,6 +9,11 @@
 // experiment (§2.2, Table 2) — the triangular solves then read float
 // operands but accumulate in double, halving the memory traffic of the
 // bandwidth-bound solve at no observed cost in convergence.
+//
+// The block factor is refactored in place (BlockIlu::refactor): a
+// Jacobian refresh writes into the storage the factor already owns, so
+// the resident factor, the storage lever above, is one buffer per
+// subdomain for the preconditioner's whole life.
 
 #include <vector>
 
@@ -141,6 +146,14 @@ struct PointIlu {
   }
 };
 
+/// Outcome of a numeric factorization when requested through the
+/// non-throwing path. `bad_row` is the first (block) row whose pivot was
+/// zero/singular; the returned factors are only valid up to that row.
+struct IluFactorStatus {
+  bool ok = true;
+  int bad_row = -1;
+};
+
 /// Block ILU factors; diagonal blocks are stored as their in-place LU
 /// factorizations.
 template <class S>
@@ -148,6 +161,16 @@ struct BlockIlu {
   int nb = 0;
   IluPattern pat;
   std::vector<S> val;  ///< nb*nb per pattern entry
+
+  /// Numeric factorization of `a` (nb == a.nb, sparsity within `pat`)
+  /// into this factor's own `val`, which is sized once and then reused:
+  /// every pattern entry is rewritten (A's block or zeros, then the
+  /// elimination), so a refresh leaks nothing from the previous factor
+  /// and is byte-identical to a fresh ilu_factor_block. Double storage
+  /// factors straight into `val`; float storage factors into a double
+  /// temporary that lives for this call and narrows into `val`.
+  /// Status and throw contract as ilu_factor_block.
+  void refactor(const Bcsr<double>& a, IluFactorStatus* status = nullptr);
 
   void solve(const double* b, double* x) const;
   void solve(const std::vector<double>& b, std::vector<double>& x) const {
@@ -161,14 +184,6 @@ struct BlockIlu {
                     const double* b, double* x) const;
 };
 
-/// Outcome of a numeric factorization when requested through the
-/// non-throwing path. `bad_row` is the first (block) row whose pivot was
-/// zero/singular; the returned factors are only valid up to that row.
-struct IluFactorStatus {
-  bool ok = true;
-  int bad_row = -1;
-};
-
 /// Numeric point factorization of A on `pat` (pattern from ilu_symbolic of
 /// A's sparsity). Computes in double, stores in S. With `status == nullptr`
 /// a zero pivot throws f3d::NumericalError; with a status out-param the
@@ -178,7 +193,8 @@ template <class S = double>
 PointIlu<S> ilu_factor_point(const Csr<double>& a, const IluPattern& pat,
                              IluFactorStatus* status = nullptr);
 
-/// Numeric block factorization (same status contract as the point variant).
+/// Numeric block factorization (same status contract as the point
+/// variant): copies `pat` into a new factor, then BlockIlu::refactor.
 template <class S = double>
 BlockIlu<S> ilu_factor_block(const Bcsr<double>& a, const IluPattern& pat,
                              IluFactorStatus* status = nullptr);

@@ -1,14 +1,21 @@
 // Tests for the sparse substrate: vector kernels, CSR/BCSR formats, layout
 // equivalence (the operators behind the paper's Table 1 must be identical
-// across layouts), and ILU(k) factorization.
+// across layouts), and ILU(k) factorization, including the in-place block
+// refactor the Schwarz preconditioner runs on every Jacobian refresh.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "mesh/generator.hpp"
+#include "partition/partition.hpp"
+#include "solver/precond.hpp"
 #include "sparse/assembly.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ilu.hpp"
@@ -394,6 +401,155 @@ TEST(Ilu, FloatStorageCloseToDouble) {
     ref += xd[i] * xd[i];
   }
   EXPECT_LT(std::sqrt(diff), 1e-4 * std::sqrt(ref));
+}
+
+// --- in-place block refactor --------------------------------------------
+
+template <class S>
+bool same_bytes(const std::vector<S>& x, const std::vector<S>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(S)) == 0;
+}
+
+// Refactoring over a buffer that holds another matrix's factor (fill
+// positions included) gives exactly the bytes of a fresh factor, in the
+// same storage.
+template <class S>
+void check_refactor_matches_fresh(int nb, int level) {
+  auto s = small_stencil();
+  const auto a1 = build_bcsr(s, nb, synthetic_values(s, 1));
+  const auto a2 = build_bcsr(s, nb, synthetic_values(s, 2));
+  const auto pat = ilu_symbolic(a1, level);
+  auto f = ilu_factor_block<S>(a1, pat);
+  const S* storage = f.val.data();
+  f.refactor(a2);
+  EXPECT_EQ(f.val.data(), storage);
+  EXPECT_TRUE(same_bytes(f.val, ilu_factor_block<S>(a2, pat).val));
+  f.refactor(a1);
+  EXPECT_EQ(f.val.data(), storage);
+  EXPECT_TRUE(same_bytes(f.val, ilu_factor_block<S>(a1, pat).val));
+}
+
+TEST(Ilu, BlockRefactorOverAnotherFactorMatchesFresh) {
+  for (bool use_simd : {false, true}) {
+    simd::EnabledScope scope(use_simd);
+    for (int nb : {4, 5}) {
+      for (int level : {0, 1, 2}) {
+        SCOPED_TRACE("simd=" + std::to_string(use_simd) +
+                     " nb=" + std::to_string(nb) +
+                     " level=" + std::to_string(level));
+        check_refactor_matches_fresh<double>(nb, level);
+        check_refactor_matches_fresh<float>(nb, level);
+      }
+    }
+  }
+}
+
+// A zero pivot (status or throw) leaves the buffer in place and holding
+// what a fresh factor of the same matrix holds; the next good refactor
+// is again byte-identical to a fresh one.
+template <class S>
+void check_refactor_recovers_from_zero_pivot(int nb) {
+  auto s = small_stencil();
+  const auto good = build_bcsr(s, nb, synthetic_values(s, 3));
+  auto bad = good;
+  std::fill_n(bad.find_block(0, 0), static_cast<std::size_t>(nb) * nb, 0.0);
+  const auto pat = ilu_symbolic(good, 1);
+  auto f = ilu_factor_block<S>(good, pat);
+  const S* storage = f.val.data();
+
+  IluFactorStatus status;
+  f.refactor(bad, &status);
+  EXPECT_FALSE(status.ok);
+  EXPECT_EQ(status.bad_row, 0);
+  IluFactorStatus fresh_status;
+  const auto fresh_bad = ilu_factor_block<S>(bad, pat, &fresh_status);
+  EXPECT_FALSE(fresh_status.ok);
+  EXPECT_TRUE(same_bytes(f.val, fresh_bad.val));
+
+  f.refactor(good);
+  EXPECT_TRUE(same_bytes(f.val, ilu_factor_block<S>(good, pat).val));
+  EXPECT_THROW(f.refactor(bad), NumericalError);
+  f.refactor(good);
+  EXPECT_EQ(f.val.data(), storage);
+  EXPECT_TRUE(same_bytes(f.val, ilu_factor_block<S>(good, pat).val));
+}
+
+TEST(Ilu, BlockRefactorAfterZeroPivotMatchesFresh) {
+  for (int nb : {4, 5}) {
+    SCOPED_TRACE("nb=" + std::to_string(nb));
+    check_refactor_recovers_from_zero_pivot<double>(nb);
+    check_refactor_recovers_from_zero_pivot<float>(nb);
+  }
+}
+
+// The message proves the scatter's check fired, not a later zero pivot.
+template <class Fn>
+void expect_pattern_error(Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "no error thrown";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("pattern does not contain A"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Ilu, BlockFactorRejectsEntryOutsidePattern) {
+  // Patterns that keep one triangle of A's sparsity: the missing blocks
+  // sit after each row's diagonal in one, before it in the other.
+  auto s = small_stencil();
+  const auto a = build_bcsr(s, 4, synthetic_values(s));
+  for (bool keep_lower : {true, false}) {
+    SCOPED_TRACE(keep_lower ? "upper blocks missing" : "lower blocks missing");
+    std::vector<int> ptr = {0}, col;
+    for (int i = 0; i < s.n; ++i) {
+      for (int p = s.ptr[i]; p < s.ptr[i + 1]; ++p) {
+        const int j = s.col[p];
+        if (keep_lower ? j <= i : j >= i) col.push_back(j);
+      }
+      ptr.push_back(static_cast<int>(col.size()));
+    }
+    const auto triangle = ilu_symbolic(s.n, ptr, col, 0);
+    expect_pattern_error([&] { (void)ilu_factor_block<double>(a, triangle); });
+
+    auto f = ilu_factor_block<double>(a, ilu_symbolic(a, 0));
+    f.pat = triangle;
+      expect_pattern_error([&] { f.refactor(a); });
+  }
+}
+
+TEST(Ilu, SchwarzRefactorMatchesFreshPreconditioner) {
+  // Two overlapping RASM subdomains: refactoring from A1 to A2 in place
+  // must apply exactly like a preconditioner built on A2.
+  auto s = small_stencil();
+  const auto a1 = build_bcsr(s, 4, synthetic_values(s, 4));
+  const auto a2 = build_bcsr(s, 4, synthetic_values(s, 5));
+  part::Partition two;
+  two.nparts = 2;
+  for (int v = 0; v < s.n; ++v) two.part.push_back(v < s.n / 2 ? 0 : 1);
+  Rng rng(11);
+  Vec r(static_cast<std::size_t>(a1.scalar_n()));
+  for (auto& v : r) v = rng.uniform(-1, 1);
+
+  for (bool single : {false, true}) {
+    SCOPED_TRACE(single ? "float factors" : "double factors");
+    solver::SchwarzOptions opts;
+    opts.type = solver::SchwarzType::kRasm;
+    opts.overlap = 1;
+    opts.fill_level = 1;
+    opts.single_precision = single;
+    solver::SchwarzPreconditioner refreshed(a1, two, opts);
+    refreshed.refactor(a2);
+    const solver::SchwarzPreconditioner fresh(a2, two, opts);
+    ASSERT_EQ(refreshed.num_subdomains(), 2);
+    EXPECT_EQ(refreshed.factor_bytes(), fresh.factor_bytes());
+    Vec z1(r.size()), z2(r.size());
+    refreshed.apply(r.data(), z1.data());
+    fresh.apply(r.data(), z2.data());
+    EXPECT_TRUE(same_bytes(z1, z2));
+  }
 }
 
 TEST(Ilu, MissingDiagonalThrows) {
