@@ -4,8 +4,8 @@
 //   simd-mixed     — explicit SIMD kernels, float *storage* with double
 //                    accumulation (Bcsr<float> operator, float ILU
 //                    factors, float gradient/limiter arrays)
-// on six workloads: the second-order flux residual (edge-colored
-// scatter), the limiter on its own, block SpMV, the block ILU(1) refactor,
+// on six workloads: the second-order flux residual (owner-computes
+// edge traversal), the limiter on its own, block SpMV, the block ILU(1) refactor,
 // ILU(0) triangular solve, and a short full psi-NKS solve. The mixed
 // configurations must converge to the same tolerance as the double ones
 // — precision is traded in storage only, the paper's Table 2 move. The

@@ -1,5 +1,5 @@
 // Shared-memory thread scaling of the solver's four hot kernels on the
-// f3d::exec pool: second-order flux residual (edge-colored scatter),
+// f3d::exec pool: second-order flux residual (owner-computes edges),
 // block SpMV (row-parallel), ILU(0) triangular solves (level-scheduled),
 // and the Krylov dot product (fixed-block tree reduction).
 //
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   const auto q = disc.make_freestream_field();
   const int n = disc.num_unknowns();
 
-  // --- flux residual (edge-colored scatter) ---------------------------
+  // --- flux residual (owner-computes edge traversal) ------------------
   std::vector<double> r;
   disc.residual(q, r);  // allocate before timing
   auto flux = sweep_kernel(
@@ -214,7 +214,6 @@ int main(int argc, char** argv) {
       .set("reps", reps)
       .set("vertices", mesh.num_vertices())
       .set("edges", mesh.num_edges())
-      .set("edge_colors", disc.edge_coloring().num_colors())
       .set("unknowns", n)
       .set("ilu_forward_levels", fwd.num_levels())
       .set("ilu_backward_levels", bwd.num_levels())

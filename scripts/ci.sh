@@ -44,8 +44,9 @@
 #      (plain psi-NKS path), sparse- (formats, ILU, the in-place block-ILU
 #      refactor's buffer reuse), sdc-, failslow- and simd-labelled tests
 #      under the same sanitizers
-#   5. TSan build + the threaded-labelled tests (the exec pool, colored
-#      scatters, level-scheduled solves) with a 4-thread pool
+#   5. TSan build + the threaded-labelled tests (the exec pool, the
+#      owner-computes edge kernels' disjoint writes, level-scheduled
+#      solves) with a 4-thread pool
 #
 # Usage: scripts/ci.sh [-j N]
 

@@ -12,13 +12,37 @@
 namespace f3d::cfd {
 
 namespace {
-// Edges per parallel_for chunk in the colored scatter loops: small enough
-// to split a color class across threads, large enough that a class on a
-// small mesh runs inline.
-constexpr std::int64_t kEdgeGrain = 256;
+// Vertices per parallel_for chunk, in the vertex loops and as the
+// smallest range an edge-traversal participant owns: a mesh of at most
+// kVertexGrain vertices runs every edge kernel inline.
 constexpr std::int64_t kVertexGrain = 1024;
 
 using simd::Vd;
+
+// Owner-computes edge traversal, the one loop behind every edge kernel.
+// The pool gives each participant a contiguous vertex range [lo, hi); each
+// participant walks the mesh's edge list in ascending edge id and calls
+// body(e, i, j, own_i, own_j) for every edge with an endpoint in its range.
+// The body must write only to owned endpoints. Writes are then disjoint,
+// and every vertex accumulates its edges in edge-id order at any thread
+// count, so the results are bit-identical for any participant count. An
+// edge whose endpoints lie in two ranges is evaluated by both owners. On
+// one thread this is the plain edge loop in the mesh's (sorted) order.
+template <class Body>
+void for_each_owned_edge(const mesh::UnstructuredMesh& mesh, Body&& body) {
+  const auto& edges = mesh.edges();
+  const int ne = mesh.num_edges();
+  exec::pool().parallel_for(
+      0, mesh.num_vertices(),
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (int e = 0; e < ne; ++e) {
+          const int i = edges[e][0], j = edges[e][1];
+          const bool own_i = i >= lo && i < hi, own_j = j >= lo && j < hi;
+          if (own_i || own_j) body(e, i, j, own_i, own_j);
+        }
+      },
+      kVertexGrain);
+}
 
 // Elementwise scatter helpers for the edge loops. The pack paths perform
 // the identical per-element arithmetic as the scalar tails (no
@@ -64,7 +88,6 @@ std::shared_ptr<const SharedGeometry> SharedGeometry::compute(
   auto g = std::make_shared<SharedGeometry>();
   g->dual = mesh::compute_dual_metrics(mesh);
   g->stencil = sparse::stencil_from_mesh(mesh);
-  g->coloring = mesh::edge_color_classes(mesh);
   g->num_vertices = mesh.num_vertices();
   return g;
 }
@@ -77,8 +100,7 @@ EulerDiscretization::EulerDiscretization(
       geom_(shared != nullptr ? std::move(shared)
                               : SharedGeometry::compute(mesh)),
       dual_(geom_->dual),
-      stencil_(geom_->stencil),
-      coloring_(geom_->coloring) {
+      stencil_(geom_->stencil) {
   F3D_CHECK(cfg_.order == 1 || cfg_.order == 2);
   F3D_CHECK_MSG(geom_->num_vertices == mesh.num_vertices(),
                 "shared geometry was computed from a different mesh");
@@ -99,10 +121,8 @@ void EulerDiscretization::gradients(const FlowField& q,
   const int ncomp = nb();
   grad.assign(static_cast<std::size_t>(nv) * ncomp * 3, 0.0);
 
-  const auto& edges = mesh_.edges();
   const double* qd = q.data().data();
   const std::size_t st = q.stride();
-  auto& pool = exec::pool();
 
   // Edge-difference Green-Gauss: grad_i += 1/(2 V_i) n_ij (q_j - q_i),
   // accumulated into the SoA-blocked layout grad[(v*3 + d)*ncomp + c]:
@@ -110,44 +130,35 @@ void EulerDiscretization::gradients(const FlowField& q,
   // edge update is six pack multiply-adds (3 directions x 2 endpoints)
   // instead of 24 scalar ones. The pack path is elementwise —
   // bit-identical to the scalar path.
-  // Colored scatter: classes in sequence, edges of a class in parallel.
   const bool vec4 =
       simd::enabled() && st == 1 && ncomp == simd::kDoubleLanes;
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    pool.parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&, vec4](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const auto& n = dual_.edge_normal[e];
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            double* gi = &grad[static_cast<std::size_t>(i) * 3 * ncomp];
-            double* gj = &grad[static_cast<std::size_t>(j) * 3 * ncomp];
-            if (vec4) {
-              const Vd dq = Vd::loadu(qd + bj) - Vd::loadu(qd + bi);
-              for (int d = 0; d < 3; ++d) {
-                const Vd w = Vd::broadcast(0.5 * n[d]);
-                double* gid = gi + d * ncomp;
-                double* gjd = gj + d * ncomp;
-                (Vd::loadu(gid) + w * dq).storeu(gid);
-                (Vd::loadu(gjd) + w * dq).storeu(gjd);
-              }
-            } else {
-              for (int c = 0; c < ncomp; ++c) {
-                const double dq = qd[bj + c * st] - qd[bi + c * st];
-                for (int d = 0; d < 3; ++d) {
-                  gi[d * ncomp + c] += 0.5 * n[d] * dq;
-                  gj[d * ncomp + c] += 0.5 * n[d] * dq;
-                }
-              }
-            }
-          }
-        },
-        kEdgeGrain);
-  }
+  for_each_owned_edge(mesh_, [&](int e, int i, int j, bool own_i,
+                                 bool own_j) {
+    const auto& n = dual_.edge_normal[e];
+    const std::size_t bi = q.base(i), bj = q.base(j);
+    double* gi = &grad[static_cast<std::size_t>(i) * 3 * ncomp];
+    double* gj = &grad[static_cast<std::size_t>(j) * 3 * ncomp];
+    if (vec4) {
+      const Vd dq = Vd::loadu(qd + bj) - Vd::loadu(qd + bi);
+      for (int d = 0; d < 3; ++d) {
+        const Vd w = Vd::broadcast(0.5 * n[d]);
+        double* gid = gi + d * ncomp;
+        double* gjd = gj + d * ncomp;
+        if (own_i) (Vd::loadu(gid) + w * dq).storeu(gid);
+        if (own_j) (Vd::loadu(gjd) + w * dq).storeu(gjd);
+      }
+    } else {
+      for (int c = 0; c < ncomp; ++c) {
+        const double dq = qd[bj + c * st] - qd[bi + c * st];
+        for (int d = 0; d < 3; ++d) {
+          if (own_i) gi[d * ncomp + c] += 0.5 * n[d] * dq;
+          if (own_j) gj[d * ncomp + c] += 0.5 * n[d] * dq;
+        }
+      }
+    }
+  });
   const bool use_simd = simd::enabled();
-  pool.parallel_for(
+  exec::pool().parallel_for(
       0, nv,
       [&, use_simd](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t v = lo; v < hi; ++v) {
@@ -209,18 +220,15 @@ void EulerDiscretization::limiters_t(const FlowField& q,
   const int ncomp = nb();
   phi.assign(static_cast<std::size_t>(nv) * ncomp, GS(1));
 
-  const auto& edges = mesh_.edges();
   const auto& coords = mesh_.coords();
   const double* qd = q.data().data();
   const std::size_t st = q.stride();
-  auto& pool = exec::pool();
 
-  // Neighbor min/max per (vertex, component). min/max are exact, so the
-  // colored scatter is deterministic for free; the coloring only provides
-  // race-freedom.
+  // Neighbor min/max per (vertex, component); each owner folds in the
+  // neighbors of its own vertices.
   std::vector<double> qmin(static_cast<std::size_t>(nv) * ncomp),
       qmax(static_cast<std::size_t>(nv) * ncomp);
-  pool.parallel_for(
+  exec::pool().parallel_for(
       0, nv,
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t v = lo; v < hi; ++v) {
@@ -231,29 +239,24 @@ void EulerDiscretization::limiters_t(const FlowField& q,
         }
       },
       kVertexGrain);
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    pool.parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            for (int c = 0; c < ncomp; ++c) {
-              const double qi = qd[bi + c * st], qj = qd[bj + c * st];
-              auto& mni = qmin[static_cast<std::size_t>(i) * ncomp + c];
-              auto& mxi = qmax[static_cast<std::size_t>(i) * ncomp + c];
-              auto& mnj = qmin[static_cast<std::size_t>(j) * ncomp + c];
-              auto& mxj = qmax[static_cast<std::size_t>(j) * ncomp + c];
-              mni = std::min(mni, qj);
-              mxi = std::max(mxi, qj);
-              mnj = std::min(mnj, qi);
-              mxj = std::max(mxj, qi);
-            }
-          }
-        },
-        kEdgeGrain);
-  }
+  for_each_owned_edge(mesh_, [&](int, int i, int j, bool own_i, bool own_j) {
+    const std::size_t bi = q.base(i), bj = q.base(j);
+    for (int c = 0; c < ncomp; ++c) {
+      const double qi = qd[bi + c * st], qj = qd[bj + c * st];
+      if (own_i) {
+        auto& mn = qmin[static_cast<std::size_t>(i) * ncomp + c];
+        auto& mx = qmax[static_cast<std::size_t>(i) * ncomp + c];
+        mn = std::min(mn, qj);
+        mx = std::max(mx, qj);
+      }
+      if (own_j) {
+        auto& mn = qmin[static_cast<std::size_t>(j) * ncomp + c];
+        auto& mx = qmax[static_cast<std::size_t>(j) * ncomp + c];
+        mn = std::min(mn, qi);
+        mx = std::max(mx, qi);
+      }
+    }
+  });
 
   // Venkatakrishnan limiter, eps^2 ~ (K^3) * cell volume (h^3 scale).
   auto venkat = [](double dplus, double d2, double eps2) {
@@ -297,54 +300,42 @@ void EulerDiscretization::limiters_t(const FlowField& q,
     store_lanes(Vd::select(d2 == zero, p, Vd::select(cap < p, cap, p)), pv);
   };
 
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    pool.parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const double dx[3] = {coords[j][0] - coords[i][0],
-                                  coords[j][1] - coords[i][1],
-                                  coords[j][2] - coords[i][2]};
-            if (vec4) {
-              limit_side(i, 0.5, dx);
-              limit_side(j, -0.5, dx);
-              continue;
-            }
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            for (int c = 0; c < ncomp; ++c) {
-              // Limit both endpoints' reconstructions toward the edge
-              // midpoint. Gradient reads promote GS -> double; the SoA
-              // layout puts direction d of component c at g[d * ncomp].
-              for (int side = 0; side < 2; ++side) {
-                const int v = side == 0 ? i : j;
-                const double sgn = side == 0 ? 0.5 : -0.5;
-                const GS* g =
-                    &grad[static_cast<std::size_t>(v) * 3 * ncomp + c];
-                const double d2 =
-                    sgn * (static_cast<double>(g[0]) * dx[0] +
-                           static_cast<double>(g[ncomp]) * dx[1] +
-                           static_cast<double>(g[2 * ncomp]) * dx[2]);
-                if (d2 == 0) continue;
-                const std::size_t b = side == 0 ? bi : bj;
-                const double qv = qd[b + c * st];
-                const double dplus =
-                    d2 > 0 ? qmax[static_cast<std::size_t>(v) * ncomp + c] - qv
-                           : qmin[static_cast<std::size_t>(v) * ncomp + c] - qv;
-                const double k3 = cfg_.venkat_k * cfg_.venkat_k * cfg_.venkat_k;
-                const double eps2 = k3 * dual_.vertex_volume[v];
-                const double lim =
-                    venkat(d2 > 0 ? dplus : -dplus, std::abs(d2), eps2);
-                auto& p = phi[static_cast<std::size_t>(v) * ncomp + c];
-                p = static_cast<GS>(std::min(static_cast<double>(p),
-                                             std::max(0.0, lim)));
-              }
-            }
-          }
-        },
-        kEdgeGrain);
-  }
+  for_each_owned_edge(mesh_, [&](int, int i, int j, bool own_i, bool own_j) {
+    const double dx[3] = {coords[j][0] - coords[i][0],
+                          coords[j][1] - coords[i][1],
+                          coords[j][2] - coords[i][2]};
+    if (vec4) {
+      if (own_i) limit_side(i, 0.5, dx);
+      if (own_j) limit_side(j, -0.5, dx);
+      return;
+    }
+    const std::size_t bi = q.base(i), bj = q.base(j);
+    for (int c = 0; c < ncomp; ++c) {
+      // Limit each owned endpoint's reconstruction toward the edge
+      // midpoint. Gradient reads promote GS -> double; the SoA layout puts
+      // direction d of component c at g[d * ncomp].
+      for (int side = 0; side < 2; ++side) {
+        if (!(side == 0 ? own_i : own_j)) continue;
+        const int v = side == 0 ? i : j;
+        const double sgn = side == 0 ? 0.5 : -0.5;
+        const GS* g = &grad[static_cast<std::size_t>(v) * 3 * ncomp + c];
+        const double d2 = sgn * (static_cast<double>(g[0]) * dx[0] +
+                                 static_cast<double>(g[ncomp]) * dx[1] +
+                                 static_cast<double>(g[2 * ncomp]) * dx[2]);
+        if (d2 == 0) continue;
+        const std::size_t b = side == 0 ? bi : bj;
+        const double qv = qd[b + c * st];
+        const double dplus =
+            d2 > 0 ? qmax[static_cast<std::size_t>(v) * ncomp + c] - qv
+                   : qmin[static_cast<std::size_t>(v) * ncomp + c] - qv;
+        const double eps2 = k3 * dual_.vertex_volume[v];
+        const double lim = venkat(d2 > 0 ? dplus : -dplus, std::abs(d2), eps2);
+        auto& p = phi[static_cast<std::size_t>(v) * ncomp + c];
+        p = static_cast<GS>(
+            std::min(static_cast<double>(p), std::max(0.0, lim)));
+      }
+    }
+  });
 }
 
 template <class GS>
@@ -418,57 +409,45 @@ void EulerDiscretization::residual_impl_t(const FlowField& q,
     limiters_t(q, grad, phi);
   }
 
-  const auto& edges = mesh_.edges();
   const double* qd = q.data().data();
   const std::size_t st = q.stride();
   double* out = r.data();
 
   F3D_OBS_SPAN("flux_scatter");
-  // Flux scatter over the conflict-free color classes: within a class no
-  // two edges touch a vertex, so threads write disjoint residual slots
-  // and each vertex accumulates in class order regardless of thread count.
-  // With an interlaced field the per-edge state copies and the +-f
-  // scatter run as packs (elementwise — bit-identical to the scalar
+  // Owner-computes flux scatter: each owner adds +-f into its own
+  // endpoints. With an interlaced field the per-edge state copies and the
+  // +-f scatter run as packs (elementwise — bit-identical to the scalar
   // loops); the flux arithmetic itself is always double.
   const bool use_simd = simd::enabled() && st == 1;
   const bool vec4 = use_simd && ncomp == simd::kDoubleLanes;
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    exec::pool().parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&, use_simd, vec4](std::int64_t lo, std::int64_t hi) {
-          double ql[kMaxComponents], qr[kMaxComponents], f[kMaxComponents];
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const double n[3] = {dual_.edge_normal[e][0],
-                                 dual_.edge_normal[e][1],
-                                 dual_.edge_normal[e][2]};
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            if (second_order) {
-              interface_states_t(q, grad, phi, i, j, ql, qr);
-            } else if (vec4) {
-              Vd::loadu(qd + bi).storeu(ql);
-              Vd::loadu(qd + bj).storeu(qr);
-            } else {
-              for (int c = 0; c < ncomp; ++c) {
-                ql[c] = qd[bi + c * st];
-                qr[c] = qd[bj + c * st];
-              }
-            }
-            rusanov_flux(cfg_, ql, qr, n, f);
-            if (use_simd) {
-              acc_arr(true, out + bi, f, ncomp);
-              sub_arr(true, out + bj, f, ncomp);
-            } else {
-              for (int c = 0; c < ncomp; ++c) {
-                out[bi + c * st] += f[c];
-                out[bj + c * st] -= f[c];
-              }
-            }
-          }
-        },
-        kEdgeGrain);
-  }
+  for_each_owned_edge(mesh_, [&](int e, int i, int j, bool own_i,
+                                 bool own_j) {
+    double ql[kMaxComponents], qr[kMaxComponents], f[kMaxComponents];
+    const double n[3] = {dual_.edge_normal[e][0], dual_.edge_normal[e][1],
+                         dual_.edge_normal[e][2]};
+    const std::size_t bi = q.base(i), bj = q.base(j);
+    if (second_order) {
+      interface_states_t(q, grad, phi, i, j, ql, qr);
+    } else if (vec4) {
+      Vd::loadu(qd + bi).storeu(ql);
+      Vd::loadu(qd + bj).storeu(qr);
+    } else {
+      for (int c = 0; c < ncomp; ++c) {
+        ql[c] = qd[bi + c * st];
+        qr[c] = qd[bj + c * st];
+      }
+    }
+    rusanov_flux(cfg_, ql, qr, n, f);
+    if (use_simd) {
+      if (own_i) acc_arr(true, out + bi, f, ncomp);
+      if (own_j) sub_arr(true, out + bj, f, ncomp);
+    } else {
+      for (int c = 0; c < ncomp; ++c) {
+        if (own_i) out[bi + c * st] += f[c];
+        if (own_j) out[bj + c * st] -= f[c];
+      }
+    }
+  });
 
   // Boundary closure (serial; boundary work is a small fraction).
   const auto& bfaces = mesh_.boundary_faces();
@@ -499,53 +478,36 @@ void EulerDiscretization::residual(const FlowField& q,
     residual_impl_t<double>(q, r);
 }
 
-void EulerDiscretization::residual_threaded(const FlowField& q,
-                                            std::vector<double>& r,
-                                            int threads) const {
-  exec::ThreadScope scope(std::max(1, threads));
-  residual(q, r);
-}
-
 void EulerDiscretization::spectral_radius(const FlowField& q,
                                           std::vector<double>& sr) const {
   F3D_OBS_SPAN("spectral_radius");
   const int nv = num_vertices();
   const int ncomp = nb();
   sr.assign(nv, 0.0);
-  const auto& edges = mesh_.edges();
   const double* qd = q.data().data();
   const std::size_t st = q.stride();
   const bool vec4 =
       simd::enabled() && st == 1 && ncomp == simd::kDoubleLanes;
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    exec::pool().parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&, vec4](std::int64_t lo, std::int64_t hi) {
-          double qi[kMaxComponents], qj[kMaxComponents];
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const double n[3] = {dual_.edge_normal[e][0],
-                                 dual_.edge_normal[e][1],
-                                 dual_.edge_normal[e][2]};
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            if (vec4) {
-              Vd::loadu(qd + bi).storeu(qi);
-              Vd::loadu(qd + bj).storeu(qj);
-            } else {
-              for (int c = 0; c < ncomp; ++c) {
-                qi[c] = qd[bi + c * st];
-                qj[c] = qd[bj + c * st];
-              }
-            }
-            const double lam = std::max(max_wave_speed(cfg_, qi, n),
-                                        max_wave_speed(cfg_, qj, n));
-            sr[i] += lam;
-            sr[j] += lam;
-          }
-        },
-        kEdgeGrain);
-  }
+  for_each_owned_edge(mesh_, [&](int e, int i, int j, bool own_i,
+                                 bool own_j) {
+    double qi[kMaxComponents], qj[kMaxComponents];
+    const double n[3] = {dual_.edge_normal[e][0], dual_.edge_normal[e][1],
+                         dual_.edge_normal[e][2]};
+    const std::size_t bi = q.base(i), bj = q.base(j);
+    if (vec4) {
+      Vd::loadu(qd + bi).storeu(qi);
+      Vd::loadu(qd + bj).storeu(qj);
+    } else {
+      for (int c = 0; c < ncomp; ++c) {
+        qi[c] = qd[bi + c * st];
+        qj[c] = qd[bj + c * st];
+      }
+    }
+    const double lam = std::max(max_wave_speed(cfg_, qi, n),
+                                max_wave_speed(cfg_, qj, n));
+    if (own_i) sr[i] += lam;
+    if (own_j) sr[j] += lam;
+  });
   const auto& bfaces = mesh_.boundary_faces();
   double qi[kMaxComponents];
   for (std::size_t bf = 0; bf < bfaces.size(); ++bf) {
@@ -588,42 +550,35 @@ void EulerDiscretization::jacobian(const FlowField& q,
     return &jac.val[static_cast<std::size_t>(it - jac.col.begin()) * bsz];
   };
 
-  const auto& edges = mesh_.edges();
   const double* qd = q.data().data();
   const std::size_t st = q.stride();
-  // Edge (i, j) updates blocks (i,i), (i,j), (j,i), (j,j); two edges with
-  // no shared vertex touch disjoint blocks, so the coloring makes the
-  // assembly scatter race-free with class-order accumulation.
+  // Edge (i, j) updates blocks (i,i), (i,j) of row i and (j,i), (j,j) of
+  // row j; each row's owner writes its own two.
   const bool use_simd = simd::enabled();
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    exec::pool().parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&, use_simd](std::int64_t lo, std::int64_t hi) {
-          double qi[kMaxComponents], qj[kMaxComponents];
-          double dl[kMaxComponents * kMaxComponents],
-              dr[kMaxComponents * kMaxComponents];
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const double n[3] = {dual_.edge_normal[e][0],
-                                 dual_.edge_normal[e][1],
-                                 dual_.edge_normal[e][2]};
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            for (int c = 0; c < ncomp; ++c) {
-              qi[c] = qd[bi + c * st];
-              qj[c] = qd[bj + c * st];
-            }
-            rusanov_flux_jacobian(cfg_, qi, qj, n, dl, dr);
-            // Block updates are elementwise over nb*nb scalars — pack
-            // strip-mined, bit-identical to the scalar loop.
-            acc_arr(use_simd, block_at(i, i), dl, bsz);
-            acc_arr(use_simd, block_at(i, j), dr, bsz);
-            sub_arr(use_simd, block_at(j, i), dl, bsz);
-            sub_arr(use_simd, block_at(j, j), dr, bsz);
-          }
-        },
-        kEdgeGrain);
-  }
+  for_each_owned_edge(mesh_, [&](int e, int i, int j, bool own_i,
+                                 bool own_j) {
+    double qi[kMaxComponents], qj[kMaxComponents];
+    double dl[kMaxComponents * kMaxComponents],
+        dr[kMaxComponents * kMaxComponents];
+    const double n[3] = {dual_.edge_normal[e][0], dual_.edge_normal[e][1],
+                         dual_.edge_normal[e][2]};
+    const std::size_t bi = q.base(i), bj = q.base(j);
+    for (int c = 0; c < ncomp; ++c) {
+      qi[c] = qd[bi + c * st];
+      qj[c] = qd[bj + c * st];
+    }
+    rusanov_flux_jacobian(cfg_, qi, qj, n, dl, dr);
+    // Block updates are elementwise over nb*nb scalars — pack strip-mined,
+    // bit-identical to the scalar loop.
+    if (own_i) {
+      acc_arr(use_simd, block_at(i, i), dl, bsz);
+      acc_arr(use_simd, block_at(i, j), dr, bsz);
+    }
+    if (own_j) {
+      sub_arr(use_simd, block_at(j, i), dl, bsz);
+      sub_arr(use_simd, block_at(j, j), dr, bsz);
+    }
+  });
 
   const auto& bfaces = mesh_.boundary_faces();
   double qi[kMaxComponents];

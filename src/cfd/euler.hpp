@@ -21,22 +21,20 @@
 #include "cfd/state.hpp"
 #include "mesh/dual.hpp"
 #include "mesh/mesh.hpp"
-#include "mesh/ordering.hpp"
 #include "sparse/assembly.hpp"
 #include "sparse/csr.hpp"
 
 namespace f3d::cfd {
 
-/// Flow-independent geometry of a discretization: the dual-mesh metrics,
-/// the Jacobian coupling stencil, and the conflict-free edge coloring.
-/// All three depend only on the (ordered) mesh, never on the flow
-/// condition, so a batch of scenarios solving different Mach x AoA cases
-/// on the same mesh can compute them once and share them immutably —
-/// the fleet layer's shared-artifact contract (src/fleet/service.hpp).
+/// Flow-independent geometry of a discretization: the dual-mesh metrics
+/// and the Jacobian coupling stencil. Both depend only on the (ordered)
+/// mesh, never on the flow condition, so a batch of scenarios solving
+/// different Mach x AoA cases on the same mesh can compute them once and
+/// share them immutably — the fleet layer's shared-artifact contract
+/// (src/fleet/service.hpp).
 struct SharedGeometry {
   mesh::DualMetrics dual;
   sparse::Stencil stencil;
-  mesh::EdgeColoring coloring;
   int num_vertices = 0;  ///< of the producing mesh (validated on reuse)
 
   /// Compute from `mesh`, which must not be re-permuted afterwards.
@@ -70,23 +68,13 @@ public:
   [[nodiscard]] FlowField make_freestream_field() const;
 
   /// Steady residual r(q), same layout as q. Second-order if
-  /// config().order == 2. Runs on the f3d::exec pool: the edge scatter
-  /// processes the cached conflict-free color classes sequentially with
-  /// the edges of each class in parallel, so the result is bit-identical
-  /// for any thread count (each vertex receives at most one contribution
-  /// per class — the accumulation order is the class order).
+  /// config().order == 2. Runs on the f3d::exec pool owner-computes: each
+  /// participant owns a contiguous vertex range and walks the mesh's edge
+  /// list in ascending edge id, writing only its own vertices. Every
+  /// vertex accumulates in edge-id order, so the result is bit-identical
+  /// for any thread count. The edge kernels below (gradients, limiters,
+  /// spectral radius, Jacobian) share the traversal and the guarantee.
   void residual(const FlowField& q, std::vector<double>& r) const;
-
-  /// residual() under a temporary exec-pool size (resizes the pool for
-  /// the call — benches sweeping thread counts should prefer an outer
-  /// exec::ThreadScope around plain residual() calls).
-  void residual_threaded(const FlowField& q, std::vector<double>& r,
-                         int threads) const;
-
-  /// The cached edge coloring driving the parallel scatters.
-  [[nodiscard]] const mesh::EdgeColoring& edge_coloring() const {
-    return coloring_;
-  }
 
   /// Per-vertex spectral radius sum_faces (|Theta| + c |n|), for the local
   /// pseudo-timestep dt_i = CFL * V_i / sr_i.
@@ -136,7 +124,6 @@ private:
   std::shared_ptr<const SharedGeometry> geom_;
   const mesh::DualMetrics& dual_;
   const sparse::Stencil& stencil_;
-  const mesh::EdgeColoring& coloring_;
   double qinf_[kMaxComponents];
 
   // The second-order path is templated on the reconstruction-operand

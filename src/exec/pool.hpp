@@ -2,9 +2,10 @@
 // f3d::exec — the shared-memory execution layer. A dependency-free C++20
 // thread pool with persistent workers and statically chunked parallel_for,
 // the substrate for node-level threading of the ψNKS hot path (the
-// paper's §2.5 hybrid experiment, generalized): edge-colored flux
-// scatter, row-parallel SpMV, level-scheduled triangular solves, and the
-// deterministic reductions of reduce.hpp all run on this pool.
+// paper's §2.5 hybrid experiment, generalized): owner-computes edge
+// kernels over contiguous vertex ranges, row-parallel SpMV, level-
+// scheduled triangular solves, and the deterministic reductions of
+// reduce.hpp all run on this pool.
 //
 // Determinism contract: parallel_for partitions [begin, end) into
 // contiguous chunks whose boundaries depend only on the range and the

@@ -1,8 +1,8 @@
 #pragma once
 // fleet::Service — the resident multi-scenario serving layer: accept a
 // BatchSpec, share the immutable per-mesh-class artifacts (mesh,
-// ordering, dual metrics / stencil / edge coloring, partition) across
-// scenarios, and drain the scenario queue with fault isolation:
+// ordering, dual metrics / stencil, partition) across scenarios, and
+// drain the scenario queue with fault isolation:
 //
 //  * journaled exactly-once commits — every terminal decision is a
 //    CRC-framed frame in the scenario journal (fleet/journal.hpp); a

@@ -158,21 +158,6 @@ std::vector<int> edge_order_colored(const UnstructuredMesh& mesh) {
   return order;
 }
 
-EdgeColoring edge_color_classes(const UnstructuredMesh& mesh) {
-  const int ne = mesh.num_edges();
-  int nc = 0;
-  auto color = greedy_edge_colors(mesh, &nc);
-
-  EdgeColoring co;
-  co.class_ptr.assign(nc + 1, 0);
-  for (int e = 0; e < ne; ++e) ++co.class_ptr[color[e] + 1];
-  for (int c = 0; c < nc; ++c) co.class_ptr[c + 1] += co.class_ptr[c];
-  co.edge.resize(ne);
-  std::vector<int> next(co.class_ptr.begin(), co.class_ptr.end() - 1);
-  for (int e = 0; e < ne; ++e) co.edge[next[color[e]]++] = e;
-  return co;
-}
-
 std::vector<int> edge_order_random(const UnstructuredMesh& mesh, unsigned seed) {
   std::vector<int> order(mesh.num_edges());
   std::iota(order.begin(), order.end(), 0);
@@ -182,11 +167,10 @@ std::vector<int> edge_order_random(const UnstructuredMesh& mesh, unsigned seed) 
 }
 
 ColoringStats edge_coloring_stats(const UnstructuredMesh& mesh) {
-  auto co = edge_color_classes(mesh);
   ColoringStats st;
-  st.num_colors = co.num_colors();
-  for (int c = 0; c < co.num_colors(); ++c)
-    st.max_class = std::max(st.max_class, co.class_ptr[c + 1] - co.class_ptr[c]);
+  const auto color = greedy_edge_colors(mesh, &st.num_colors);
+  std::vector<int> class_size(st.num_colors, 0);
+  for (int c : color) st.max_class = std::max(st.max_class, ++class_size[c]);
   return st;
 }
 

@@ -12,6 +12,9 @@
 //              vertex, which destroys temporal locality on cache machines
 //              (the paper's "NOER" baseline behaves like this);
 //  * random  — worst-case shuffle, for stress tests.
+// Every edge kernel of cfd::EulerDiscretization walks the edges in
+// ascending edge id (owner-computes, cfd/euler.cpp), so the edge order
+// applied here is the order the kernels run.
 
 #include <string>
 #include <vector>
@@ -44,6 +47,7 @@ std::vector<int> edge_order_sorted(const UnstructuredMesh& mesh);
 
 /// Vector-machine-style conflict-free coloring order: edges grouped by
 /// greedy color; no two consecutive edges within a color share a vertex.
+/// The Table 1 / Fig 3 baseline permutation.
 std::vector<int> edge_order_colored(const UnstructuredMesh& mesh);
 
 /// Deterministic random shuffle.
@@ -56,23 +60,6 @@ struct ColoringStats {
   int max_class = 0;
 };
 ColoringStats edge_coloring_stats(const UnstructuredMesh& mesh);
-
-/// Conflict-free edge color classes for the parallel scatter loops of the
-/// execution layer (f3d::exec): a partition of the edge ids such that no
-/// two edges in a class share a vertex. Processing classes sequentially
-/// and the edges within a class in parallel makes the edge-based
-/// residual/gradient/Jacobian scatters race-free without per-thread
-/// replicated arrays — and, because each vertex receives at most one
-/// contribution per class, the per-vertex accumulation order is the class
-/// order: fixed, independent of the thread count.
-struct EdgeColoring {
-  std::vector<int> class_ptr;  ///< size num_colors()+1
-  std::vector<int> edge;       ///< edge ids grouped by class, ascending within
-  [[nodiscard]] int num_colors() const {
-    return static_cast<int>(class_ptr.empty() ? 0 : class_ptr.size() - 1);
-  }
-};
-EdgeColoring edge_color_classes(const UnstructuredMesh& mesh);
 
 /// Apply RCM vertex ordering + sorted edge ordering in place — the paper's
 /// recommended layout.

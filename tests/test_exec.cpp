@@ -1,9 +1,9 @@
 // Shared-memory execution layer tests: pool chunking/nesting/exceptions,
-// the fixed-block deterministic reductions, edge-coloring validity on
-// shuffled wing meshes, level-schedule correctness for the ILU triangular
-// factors, bit-identity of the parallel kernels (residual, SpMV, ILU
-// trisolve, dot) across thread counts, and byte-identical psi-NKS
-// checkpoints at 1/2/4 threads.
+// the fixed-block deterministic reductions, the owner-computes edge
+// kernels' edge-order accumulation on shuffled and reordered wings,
+// level-schedule correctness for the ILU triangular factors, bit-identity
+// of the parallel kernels (residual, SpMV, ILU trisolve, dot) across
+// thread counts, and byte-identical psi-NKS checkpoints at 1/2/4 threads.
 
 #include <gtest/gtest.h>
 
@@ -153,49 +153,94 @@ TEST(Reduce, SumAndMaxAbsAgreeWithSerial) {
   EXPECT_EQ(exec::max_abs(n, x.data()), serial_max);
 }
 
-// --- edge coloring -------------------------------------------------------
+// --- owner-computes edge traversal ---------------------------------------
 
-void check_coloring(const mesh::UnstructuredMesh& m) {
-  const auto col = mesh::edge_color_classes(m);
-  ASSERT_GT(col.num_colors(), 0);
-  // Classes partition the edge set.
-  ASSERT_EQ(static_cast<int>(col.edge.size()), m.num_edges());
-  std::vector<int> seen(m.num_edges(), 0);
-  const auto& edges = m.edges();
-  for (int c = 0; c < col.num_colors(); ++c) {
-    std::vector<char> vertex_used(m.num_vertices(), 0);
-    for (int p = col.class_ptr[c]; p < col.class_ptr[c + 1]; ++p) {
-      const int e = col.edge[p];
-      ASSERT_GE(e, 0);
-      ASSERT_LT(e, m.num_edges());
-      ++seen[e];
-      // Conflict-freedom: no two edges of a class share a vertex.
-      for (int v : {edges[e][0], edges[e][1]}) {
-        ASSERT_FALSE(vertex_used[v]) << "class " << c << " vertex " << v;
-        vertex_used[v] = 1;
-      }
-      // Ascending edge ids within a class (fixed accumulation order).
-      if (p > col.class_ptr[c]) {
-        ASSERT_LT(col.edge[p - 1], col.edge[p]);
-      }
+// First-order residual and spectral radius as one plain loop in ascending
+// edge id, then the boundary closure in face order: the accumulation
+// order the owner-computes edge kernels promise at any thread count.
+void edge_order_reference(const cfd::EulerDiscretization& disc,
+                          const cfd::FlowField& q, std::vector<double>& r,
+                          std::vector<double>& sr) {
+  const auto& m = disc.mesh();
+  const auto& cfg = disc.config();
+  const auto& dual = disc.dual();
+  const int nb = disc.nb();
+  const std::size_t st = q.stride();
+  r.assign(static_cast<std::size_t>(m.num_vertices()) * nb, 0.0);
+  sr.assign(m.num_vertices(), 0.0);
+  double qi[cfd::kMaxComponents], qj[cfd::kMaxComponents],
+      f[cfd::kMaxComponents];
+  for (int e = 0; e < m.num_edges(); ++e) {
+    const int i = m.edges()[e][0], j = m.edges()[e][1];
+    const double* n = dual.edge_normal[e].data();
+    for (int c = 0; c < nb; ++c) {
+      qi[c] = q.get(i, c);
+      qj[c] = q.get(j, c);
+    }
+    cfd::rusanov_flux(cfg, qi, qj, n, f);
+    for (int c = 0; c < nb; ++c) {
+      r[q.base(i) + c * st] += f[c];
+      r[q.base(j) + c * st] -= f[c];
+    }
+    const double lam = std::max(cfd::max_wave_speed(cfg, qi, n),
+                                cfd::max_wave_speed(cfg, qj, n));
+    sr[i] += lam;
+    sr[j] += lam;
+  }
+  double qinf[cfd::kMaxComponents];
+  cfd::freestream_state(cfg, qinf);
+  for (std::size_t bf = 0; bf < m.boundary_faces().size(); ++bf) {
+    const auto& face = m.boundary_faces()[bf];
+    const double n3[3] = {dual.bface_normal[bf][0] / 3.0,
+                          dual.bface_normal[bf][1] / 3.0,
+                          dual.bface_normal[bf][2] / 3.0};
+    for (int v : face.v) {
+      for (int c = 0; c < nb; ++c) qi[c] = q.get(v, c);
+      if (face.tag == mesh::BoundaryTag::kWall)
+        cfd::wall_flux(cfg, qi, n3, f);
+      else
+        cfd::rusanov_flux(cfg, qi, qinf, n3, f);
+      for (int c = 0; c < nb; ++c) r[q.base(v) + c * st] += f[c];
+      sr[v] += cfd::max_wave_speed(cfg, qi, n3);
     }
   }
-  for (int e = 0; e < m.num_edges(); ++e) ASSERT_EQ(seen[e], 1);
 }
 
-TEST(EdgeColoring, ValidOnShuffledWingsOfSeveralSizes) {
-  for (int target : {200, 1200, 5000}) {
-    auto m = mesh::generate_wing_mesh_with_size(target);
-    mesh::shuffle_mesh(m, 17);
-    check_coloring(m);
+void check_edge_order_contract(const mesh::UnstructuredMesh& m) {
+  for (auto model : {cfd::Model::kIncompressible, cfd::Model::kCompressible}) {
+    cfd::FlowConfig cfg;
+    cfg.model = model;
+    cfg.order = 1;
+    cfd::EulerDiscretization disc(m, cfg);
+    auto q = disc.make_freestream_field();
+    for (std::size_t k = 0; k < q.data().size(); ++k)
+      q.data()[k] += 1e-3 * std::sin(0.7 * static_cast<double>(k));
+    std::vector<double> r_ref, sr_ref, r, sr;
+    edge_order_reference(disc, q, r_ref, sr_ref);
+    for (int nt : {1, 2, 3, 4}) {
+      exec::ThreadScope scope(nt);
+      disc.residual(q, r);
+      disc.spectral_radius(q, sr);
+      ASSERT_EQ(r.size(), r_ref.size());
+      ASSERT_EQ(sr.size(), sr_ref.size());
+      EXPECT_EQ(std::memcmp(r.data(), r_ref.data(), r.size() * sizeof(double)),
+                0)
+          << "nb=" << disc.nb() << " nt=" << nt;
+      EXPECT_EQ(
+          std::memcmp(sr.data(), sr_ref.data(), sr.size() * sizeof(double)), 0)
+          << "nb=" << disc.nb() << " nt=" << nt;
+    }
   }
 }
 
-TEST(EdgeColoring, ValidAfterBestOrdering) {
-  auto m = mesh::generate_wing_mesh_with_size(1500);
-  mesh::shuffle_mesh(m, 3);
+// 5000 target vertices: enough for four vertex ranges at 4 threads. The
+// shuffled wing has unsorted edges; apply_best_ordering sorts them.
+TEST(OwnerComputes, EdgeKernelsAccumulateInEdgeOrderAtAnyThreadCount) {
+  auto m = mesh::generate_wing_mesh_with_size(5000);
+  mesh::shuffle_mesh(m, 17);
+  check_edge_order_contract(m);
   mesh::apply_best_ordering(m);
-  check_coloring(m);
+  check_edge_order_contract(m);
 }
 
 // --- level schedules -----------------------------------------------------

@@ -548,26 +548,26 @@ struct CampaignGolden {
 
 TEST(FaultCampaign, RecoveryLogsAndCheckpointBytesMatchGolden) {
   const CampaignGolden golden[] = {
-      {FaultClass::kNanResidual, 11, 9, 0x3636f6aau, 0x98ae14b1u, 0x50c574f6u},
-      {FaultClass::kNanResidual, 22, 9, 0x815e3cefu, 0xc36b1f26u, 0xb1ba9713u},
-      {FaultClass::kNanResidual, 33, 9, 0xe3f09771u, 0xe69ec5dcu, 0x20b47d93u},
-      {FaultClass::kNanResidual, 44, 9, 0x9f528150u, 0x247391f0u, 0x74189f89u},
-      {FaultClass::kNanResidual, 55, 13, 0xc9fa3d03u, 0x69f7a253u, 0xf6fccdb7u},
-      {FaultClass::kZeroPivot, 11, 13, 0xeb105612u, 0x4185422bu, 0x6bce2634u},
-      {FaultClass::kZeroPivot, 22, 8, 0x542c8dffu, 0x6a741b9fu, 0xbb34ededu},
-      {FaultClass::kZeroPivot, 33, 13, 0xa5e4aa99u, 0xda44c66au, 0xf00fa275u},
-      {FaultClass::kZeroPivot, 44, 13, 0xbc3b5261u, 0x242a73e5u, 0x0e6117fau},
-      {FaultClass::kZeroPivot, 55, 13, 0x76f9af04u, 0x7de88fc3u, 0x57a3ebdcu},
-      {FaultClass::kGmresPoison, 11, 10, 0x76be1efeu, 0x0f523945u, 0x6f7506d3u},
-      {FaultClass::kGmresPoison, 22, 10, 0x42dab6ecu, 0xf898c6d8u, 0x98bff94eu},
-      {FaultClass::kGmresPoison, 33, 10, 0xe7d62cddu, 0x79142731u, 0x193318a7u},
-      {FaultClass::kGmresPoison, 44, 10, 0x2a13e6c8u, 0xcc7c3fa3u, 0xac5b0035u},
-      {FaultClass::kGmresPoison, 55, 10, 0x8f1f7cf9u, 0x1d7f6e1au, 0x7d58518cu},
-      {FaultClass::kBicgstabPoison, 11, 6, 0xf942435eu, 0xd50a32e6u, 0xab2a5dfcu},
-      {FaultClass::kBicgstabPoison, 22, 6, 0xcd26eb4cu, 0x487ce9b9u, 0x365c86a3u},
-      {FaultClass::kBicgstabPoison, 33, 6, 0x682a717du, 0x315038a1u, 0x4f7057bbu},
-      {FaultClass::kBicgstabPoison, 44, 6, 0xa5efbb68u, 0xa9e05946u, 0xd7c0365cu},
-      {FaultClass::kBicgstabPoison, 55, 6, 0x00e32159u, 0x4aafe7a3u, 0x348f88b9u},
+      {FaultClass::kNanResidual, 11, 9, 0x3636f6aau, 0x8457e3adu, 0x11932431u},
+      {FaultClass::kNanResidual, 22, 9, 0x815e3cefu, 0x05c5b252u, 0x6040a49au},
+      {FaultClass::kNanResidual, 33, 9, 0xe3f09771u, 0x16b10e2du, 0x2a5ea176u},
+      {FaultClass::kNanResidual, 44, 9, 0x9f528150u, 0x50205c92u, 0x999e33c2u},
+      {FaultClass::kNanResidual, 55, 13, 0xc9fa3d03u, 0x9492e39cu, 0x112178f9u},
+      {FaultClass::kZeroPivot, 11, 13, 0xeb105612u, 0x9afaf637u, 0x56b06227u},
+      {FaultClass::kZeroPivot, 22, 8, 0x542c8dffu, 0x948f5aaeu, 0x02400983u},
+      {FaultClass::kZeroPivot, 33, 13, 0xa5e4aa99u, 0x013b7276u, 0xcd71e666u},
+      {FaultClass::kZeroPivot, 44, 13, 0xbc3b5261u, 0xff55c7f9u, 0x331f53e9u},
+      {FaultClass::kZeroPivot, 55, 13, 0x76f9af04u, 0xa6973bdfu, 0x6addafcfu},
+      {FaultClass::kGmresPoison, 11, 10, 0x76be1efeu, 0xf920e764u, 0xaab3e7ceu},
+      {FaultClass::kGmresPoison, 22, 10, 0x42dab6ecu, 0x0eea18f9u, 0x5d791853u},
+      {FaultClass::kGmresPoison, 33, 10, 0xe7d62cddu, 0x8f66f910u, 0xdcf5f9bau},
+      {FaultClass::kGmresPoison, 44, 10, 0x2a13e6c8u, 0x3a0ee182u, 0x699de128u},
+      {FaultClass::kGmresPoison, 55, 10, 0x8f1f7cf9u, 0xeb0db03bu, 0xb89eb091u},
+      {FaultClass::kBicgstabPoison, 11, 6, 0xf942435eu, 0xe1c72d4fu, 0xec88d581u},
+      {FaultClass::kBicgstabPoison, 22, 6, 0xcd26eb4cu, 0x7cb1f610u, 0x71fe0edeu},
+      {FaultClass::kBicgstabPoison, 33, 6, 0x682a717du, 0x059d2708u, 0x08d2dfc6u},
+      {FaultClass::kBicgstabPoison, 44, 6, 0xa5efbb68u, 0x9d2d46efu, 0x9062be21u},
+      {FaultClass::kBicgstabPoison, 55, 6, 0x00e32159u, 0x7e62f80au, 0x732d00c4u},
   };
   for (const auto& g : golden) {
     // A relative, fixed path: the path is part of the logged detail and

@@ -614,9 +614,9 @@ std::vector<SdcScenario> sdc_recovery_scenarios() {
 
 TEST(PtcSdc, RecoveryLogsAndCheckpointBytesMatchGolden) {
   const SdcGolden golden[] = {
-      {"matrix-flip-recompute", 7, 0xda0cb485u, 0x0fae9a74u, 0x4ec59611u},
-      {"state-flip-rollback", 6, 0x58eea098u, 0x19034f27u, 0x14b0da36u},
-      {"mixed-precision-matrix-flip", 36, 0x4bb54ed5u, 0x4fe68b1bu, 0xcbac334du},
+      {"matrix-flip-recompute", 7, 0xda0cb485u, 0xbed4fffau, 0x3d6c5aeau},
+      {"state-flip-rollback", 6, 0x58eea098u, 0xb9528888u, 0x420f803eu},
+      {"mixed-precision-matrix-flip", 36, 0x4bb54ed5u, 0xb732f348u, 0xa61b6dd6u},
   };
   const auto scenarios = sdc_recovery_scenarios();
   ASSERT_EQ(scenarios.size(), std::size(golden));
