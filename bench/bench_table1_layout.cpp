@@ -9,11 +9,15 @@
 // refresh (value fill + ILU(0) factorization), and 20 Krylov iterations'
 // worth of SpMV + triangular solves. Absolute times are host-specific;
 // the paper's claim under reproduction is the *ratio* column (up to 5.7x).
+// Each cell is the median of `reps` timed steps with its interquartile
+// range; the ratios are taken from the medians.
 //
-// Usage: bench_table1_layout [-vertices 22677] [-its 20] [-reps auto]
+// Usage: bench_table1_layout [-vertices 22677] [-its 20] [-reps 5]
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "cfd/euler.hpp"
@@ -48,8 +52,30 @@ constexpr Config kConfigs[] = {
 constexpr double kPaperIncomp[] = {83.6, 36.1, 29.0, 29.2, 23.4, 16.9};
 constexpr double kPaperComp[] = {140.0, 57.5, 43.1, 59.1, 35.7, 24.5};
 
-double time_step(const mesh::UnstructuredMesh& mesh, cfd::Model model,
-                 bool interlace, bool blocking, int linear_its, int reps) {
+// Median and interquartile range of a set of step times.
+struct StepTime {
+  double median = 0;
+  double iqr = 0;
+};
+
+// Quartiles by linear interpolation between order statistics.
+StepTime summarize(std::vector<double> t) {
+  std::sort(t.begin(), t.end());
+  auto quantile = [&](double p) {
+    const double pos = p * static_cast<double>(t.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, t.size() - 1);
+    return t[lo] + (pos - static_cast<double>(lo)) * (t[hi] - t[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
+std::string cell(const StepTime& s) {
+  return Table::num(s.median * 1e3, 1) + "ms +-" + Table::num(s.iqr * 1e3, 1);
+}
+
+StepTime time_step(const mesh::UnstructuredMesh& mesh, cfd::Model model,
+                   bool interlace, bool blocking, int linear_its, int reps) {
   cfd::FlowConfig cfg;
   cfg.model = model;
   cfg.order = 2;
@@ -81,7 +107,7 @@ double time_step(const mesh::UnstructuredMesh& mesh, cfd::Model model,
   std::vector<double> x(static_cast<std::size_t>(stencil.n) * nb, 1.0);
   std::vector<double> y(x.size());
 
-  double best = 1e100;
+  std::vector<double> times;
   for (int rep = 0; rep < reps; ++rep) {
     Timer t;
     // Two residual evaluations per step (function + matrix-free action).
@@ -101,9 +127,9 @@ double time_step(const mesh::UnstructuredMesh& mesh, cfd::Model model,
         f.solve(y.data(), x.data());
       }
     }
-    best = std::min(best, t.seconds());
+    times.push_back(t.seconds());
   }
-  return best;
+  return summarize(std::move(times));
 }
 
 }  // namespace
@@ -112,7 +138,7 @@ int main(int argc, char** argv) {
   Options opts(argc, argv);
   const int vertices = opts.get_int("vertices", 22677);
   const int linear_its = opts.get_int("its", 20);
-  const int reps = opts.get_int("reps", 3);
+  const int reps = std::max(1, opts.get_int("reps", 5));
 
   benchutil::print_header(
       "Table 1 - layout enhancements (interlacing / blocking / reordering)",
@@ -130,25 +156,27 @@ int main(int argc, char** argv) {
   std::printf("DOFs: incompressible %d, compressible %d\n",
               base.num_vertices() * 4, base.num_vertices() * 5);
 
+  std::printf("t/step: median of %d steps +- interquartile range (ms)\n", reps);
+
   Table table({"Intl", "Blk", "Reord", "Incomp t/step", "Ratio",
                "paper", "Comp t/step", "Ratio", "paper"});
-  double inc0 = 0, com0 = 0;
+  StepTime inc0, com0;
   for (int row = 0; row < 6; ++row) {
     const auto& c = kConfigs[row];
     const auto& mesh = c.reorder ? ordered : base;
-    const double ti = time_step(mesh, cfd::Model::kIncompressible,
-                                c.interlace, c.blocking, linear_its, reps);
-    const double tc = time_step(mesh, cfd::Model::kCompressible, c.interlace,
-                                c.blocking, linear_its, reps);
+    const StepTime ti = time_step(mesh, cfd::Model::kIncompressible,
+                                  c.interlace, c.blocking, linear_its, reps);
+    const StepTime tc = time_step(mesh, cfd::Model::kCompressible,
+                                  c.interlace, c.blocking, linear_its, reps);
     if (row == 0) {
       inc0 = ti;
       com0 = tc;
     }
     table.add_row({c.interlace ? "x" : ".", c.blocking ? "x" : ".",
-                   c.reorder ? "x" : ".", Table::num(ti * 1e3, 1) + "ms",
-                   Table::num(inc0 / ti, 2),
+                   c.reorder ? "x" : ".", cell(ti),
+                   Table::num(inc0.median / ti.median, 2),
                    Table::num(kPaperIncomp[0] / kPaperIncomp[row], 2),
-                   Table::num(tc * 1e3, 1) + "ms", Table::num(com0 / tc, 2),
+                   cell(tc), Table::num(com0.median / tc.median, 2),
                    Table::num(kPaperComp[0] / kPaperComp[row], 2)});
   }
   table.print();

@@ -45,8 +45,8 @@
 #      refactor's buffer reuse), sdc-, failslow- and simd-labelled tests
 #      under the same sanitizers
 #   5. TSan build + the threaded-labelled tests (the exec pool, the
-#      owner-computes edge kernels' disjoint writes, level-scheduled
-#      solves) with a 4-thread pool
+#      owner-computes edge kernels' disjoint writes, the Schwarz apply
+#      across thread counts) with a 4-thread pool
 #
 # Usage: scripts/ci.sh [-j N]
 

@@ -22,9 +22,7 @@ namespace detail {
 // block size (nb == 4 — one full f3d::simd::Vd row) when the SIMD
 // dispatch is on and the accumulate type is double. The pack dot uses the
 // fixed pairwise hsum, so it rounds differently from the sequential
-// scalar loop but identically everywhere it is called — both BlockIlu
-// trisolve variants (serial reference and level-scheduled) funnel through
-// here, which keeps their bitwise equivalence intact per configuration.
+// scalar loop but identically everywhere it is called.
 template <class TA, class TX, class TY>
 inline constexpr bool kGemvSimdEligible =
     std::is_same_v<TX, double> && std::is_same_v<TY, double> &&

@@ -76,10 +76,6 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
     }
     if (opts_.subdomain_solver == SubdomainSolver::kIlu) {
       auto pattern = sparse::ilu_symbolic(sd.local, opts_.fill_level);
-      // Level schedules of the triangular solves, computed once: the
-      // pattern is fixed across Newton refactorizations.
-      sd.fwd = sparse::lower_levels(pattern);
-      sd.bwd = sparse::upper_levels(pattern);
       // The factor keeps the pattern and, from the first factorization
       // on, one value buffer that every refresh refactors in place.
       if (opts_.single_precision) {
@@ -279,9 +275,9 @@ void SchwarzPreconditioner::apply(const double* r, double* z) const {
     if (opts_.subdomain_solver == SubdomainSolver::kSsor)
       ssor_solve(sd, rl.data(), zl.data());
     else if (opts_.single_precision)
-      sd.ilu_f.solve_levels(sd.fwd, sd.bwd, rl.data(), zl.data());
+      sd.ilu_f.solve(rl.data(), zl.data());
     else
-      sd.ilu_d.solve_levels(sd.fwd, sd.bwd, rl.data(), zl.data());
+      sd.ilu_d.solve(rl.data(), zl.data());
 
     const bool restrict_to_owned = opts_.type != SchwarzType::kAsm;
     for (int k = 0; k < nl; ++k) {

@@ -97,8 +97,6 @@ private:
     std::vector<int> vertices;  ///< global vertex ids (owned + overlap)
     std::vector<char> owned;    ///< parallel to vertices
     sparse::Bcsr<double> local; ///< extracted local matrix
-    sparse::TriSchedule fwd;    ///< level schedule of the L solve
-    sparse::TriSchedule bwd;    ///< level schedule of the U solve
     /// The ILU factor (pattern and values), refactored in place on every
     /// refresh: ilu_d if !single_precision, else ilu_f; the other is empty.
     sparse::BlockIlu<double> ilu_d;

@@ -62,51 +62,6 @@ IluPattern ilu_symbolic(int n, const std::vector<int>& aptr,
   return pat;
 }
 
-namespace {
-
-// Group rows by dependency depth. `deps(i)` yields the in-factor
-// dependencies of row i via a callback; rows must be visited in an order
-// where dependencies come first (ascending for L, descending for U).
-TriSchedule build_levels(int n, const std::vector<int>& level) {
-  TriSchedule sch;
-  int nlev = 0;
-  for (int i = 0; i < n; ++i) nlev = std::max(nlev, level[i] + 1);
-  sch.level_ptr.assign(nlev + 1, 0);
-  for (int i = 0; i < n; ++i) ++sch.level_ptr[level[i] + 1];
-  for (int l = 0; l < nlev; ++l) sch.level_ptr[l + 1] += sch.level_ptr[l];
-  sch.rows.resize(n);
-  std::vector<int> next(sch.level_ptr.begin(), sch.level_ptr.end() - 1);
-  // Ascending row ids within each level (stable fill in row order).
-  for (int i = 0; i < n; ++i) sch.rows[next[level[i]]++] = i;
-  return sch;
-}
-
-}  // namespace
-
-TriSchedule lower_levels(const IluPattern& pat) {
-  const int n = pat.n;
-  std::vector<int> level(n, 0);
-  for (int i = 0; i < n; ++i) {
-    int lev = 0;
-    for (int p = pat.ptr[i]; p < pat.diag[i]; ++p)
-      lev = std::max(lev, level[pat.col[p]] + 1);
-    level[i] = lev;
-  }
-  return build_levels(n, level);
-}
-
-TriSchedule upper_levels(const IluPattern& pat) {
-  const int n = pat.n;
-  std::vector<int> level(n, 0);
-  for (int i = n - 1; i >= 0; --i) {
-    int lev = 0;
-    for (int p = pat.diag[i] + 1; p < pat.ptr[i + 1]; ++p)
-      lev = std::max(lev, level[pat.col[p]] + 1);
-    level[i] = lev;
-  }
-  return build_levels(n, level);
-}
-
 IluPattern ilu_symbolic(const Csr<double>& a, int level) {
   return ilu_symbolic(a.n, a.ptr, a.col, level);
 }
@@ -296,52 +251,6 @@ void BlockIlu<S>::solve(const double* b, double* x) const {
     dense::lu_solve(nb, &val[static_cast<std::size_t>(pat.diag[i]) * bsz], xi,
                     tmp);
     for (int c = 0; c < nb; ++c) xi[c] = tmp[c];
-  }
-}
-
-template <class S>
-void BlockIlu<S>::solve_levels(const TriSchedule& fwd, const TriSchedule& bwd,
-                               const double* b, double* x) const {
-  const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
-  auto& pool = exec::pool();
-  // Per-row arithmetic is exactly solve()'s: the schedule only reorders
-  // *across* independent rows, so results are bit-identical to solve().
-  for (int l = 0; l < fwd.num_levels(); ++l) {
-    pool.parallel_for(
-        fwd.level_ptr[l], fwd.level_ptr[l + 1],
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int i = fwd.rows[k];
-            double* xi = x + static_cast<std::size_t>(i) * nb;
-            const double* bi = b + static_cast<std::size_t>(i) * nb;
-            for (int c = 0; c < nb; ++c) xi[c] = bi[c];
-            for (int p = pat.ptr[i]; p < pat.diag[i]; ++p)
-              dense::gemv_sub(nb, &val[static_cast<std::size_t>(p) * bsz],
-                              x + static_cast<std::size_t>(pat.col[p]) * nb,
-                              xi);
-          }
-        },
-        /*grain=*/128);
-  }
-  F3D_CHECK(nb <= 8);
-  for (int l = 0; l < bwd.num_levels(); ++l) {
-    pool.parallel_for(
-        bwd.level_ptr[l], bwd.level_ptr[l + 1],
-        [&](std::int64_t lo, std::int64_t hi) {
-          double tmp[8];
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int i = bwd.rows[k];
-            double* xi = x + static_cast<std::size_t>(i) * nb;
-            for (int p = pat.diag[i] + 1; p < pat.ptr[i + 1]; ++p)
-              dense::gemv_sub(nb, &val[static_cast<std::size_t>(p) * bsz],
-                              x + static_cast<std::size_t>(pat.col[p]) * nb,
-                              xi);
-            dense::lu_solve(nb, &val[static_cast<std::size_t>(pat.diag[i]) * bsz],
-                            xi, tmp);
-            for (int c = 0; c < nb; ++c) xi[c] = tmp[c];
-          }
-        },
-        /*grain=*/128);
   }
 }
 

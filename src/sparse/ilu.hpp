@@ -17,7 +17,6 @@
 
 #include <vector>
 
-#include "exec/pool.hpp"
 #include "sparse/csr.hpp"
 
 namespace f3d::sparse {
@@ -38,33 +37,11 @@ struct IluPattern {
 IluPattern ilu_symbolic(int n, const std::vector<int>& aptr,
                         const std::vector<int>& acol, int level);
 
-/// Level schedule of one triangular factor's dependency DAG: rows grouped
-/// into levels such that every row's in-factor dependencies sit in
-/// earlier levels — rows within a level solve in parallel. Rows are
-/// ascending within a level, so the per-row arithmetic of a scheduled
-/// solve is exactly the serial solve's: level-scheduled results are
-/// bit-identical to the serial ones for any thread count.
-struct TriSchedule {
-  std::vector<int> level_ptr;  ///< size num_levels()+1
-  std::vector<int> rows;       ///< rows grouped by level, ascending within
-  [[nodiscard]] int num_levels() const {
-    return static_cast<int>(level_ptr.empty() ? 0 : level_ptr.size() - 1);
-  }
-};
-
-/// Schedule of the forward (L, cols < diag) solve of `pat`.
-TriSchedule lower_levels(const IluPattern& pat);
-/// Schedule of the backward (U, cols > diag) solve of `pat`.
-TriSchedule upper_levels(const IluPattern& pat);
-
 namespace detail {
 /// One triangular-solve row update: s0 minus the row's partial dot with
 /// x, promoted to double. Scalar path subtracts term by term (the seed
 /// kernel, unchanged); SIMD path strip-mines through
-/// row_dot_promote_simd and subtracts once. Both PointIlu::solve and
-/// solve_levels funnel through this single helper with the same
-/// use_simd value, which is what keeps the serial and level-scheduled
-/// solves bit-identical in every configuration.
+/// row_dot_promote_simd and subtracts once.
 template <class S>
 [[nodiscard]] inline double tri_row_reduce(bool use_simd, const S* val,
                                            const int* col, int count,
@@ -105,45 +82,6 @@ struct PointIlu {
     x.resize(b.size());
     solve(b.data(), x.data());
   }
-
-  /// Level-scheduled solve on the exec pool: levels in sequence, the rows
-  /// of a level in parallel. Per-row arithmetic is identical to solve(),
-  /// so the result is bit-identical for any thread count. `fwd`/`bwd`
-  /// come from lower_levels/upper_levels of this factor's pattern.
-  void solve_levels(const TriSchedule& fwd, const TriSchedule& bwd,
-                    const double* b, double* x) const {
-    const bool use_simd = simd::enabled();
-    const S* v = val.data();
-    const int* c = pat.col.data();
-    auto& pool = exec::pool();
-    for (int l = 0; l < fwd.num_levels(); ++l) {
-      pool.parallel_for(
-          fwd.level_ptr[l], fwd.level_ptr[l + 1],
-          [&, use_simd](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t k = lo; k < hi; ++k) {
-              const int i = fwd.rows[k];
-              const int p0 = pat.ptr[i];
-              x[i] = detail::tri_row_reduce(use_simd, v + p0, c + p0,
-                                            pat.diag[i] - p0, x, b[i]);
-            }
-          },
-          /*grain=*/128);
-    }
-    for (int l = 0; l < bwd.num_levels(); ++l) {
-      pool.parallel_for(
-          bwd.level_ptr[l], bwd.level_ptr[l + 1],
-          [&, use_simd](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t k = lo; k < hi; ++k) {
-              const int i = bwd.rows[k];
-              const int p0 = pat.diag[i] + 1;
-              const double s = detail::tri_row_reduce(
-                  use_simd, v + p0, c + p0, pat.ptr[i + 1] - p0, x, x[i]);
-              x[i] = s / static_cast<double>(v[pat.diag[i]]);
-            }
-          },
-          /*grain=*/128);
-    }
-  }
 };
 
 /// Outcome of a numeric factorization when requested through the
@@ -177,11 +115,6 @@ struct BlockIlu {
     x.resize(b.size());
     solve(b.data(), x.data());
   }
-
-  /// Level-scheduled variant of solve() (see PointIlu::solve_levels);
-  /// bit-identical to solve() for any thread count.
-  void solve_levels(const TriSchedule& fwd, const TriSchedule& bwd,
-                    const double* b, double* x) const;
 };
 
 /// Numeric point factorization of A on `pat` (pattern from ilu_symbolic of

@@ -1,9 +1,9 @@
 // Shared-memory execution layer tests: pool chunking/nesting/exceptions,
 // the fixed-block deterministic reductions, the owner-computes edge
 // kernels' edge-order accumulation on shuffled and reordered wings,
-// level-schedule correctness for the ILU triangular factors, bit-identity
-// of the parallel kernels (residual, SpMV, ILU trisolve, dot) across
-// thread counts, and byte-identical psi-NKS checkpoints at 1/2/4 threads.
+// bit-identity of the parallel kernels (residual, SpMV, dot) and of the
+// Schwarz preconditioner apply across thread counts, and byte-identical
+// psi-NKS checkpoints at 1/2/4 threads.
 
 #include <gtest/gtest.h>
 
@@ -21,10 +21,12 @@
 #include "exec/pool.hpp"
 #include "exec/reduce.hpp"
 #include "mesh/generator.hpp"
+#include "mesh/graph.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/ordering.hpp"
+#include "partition/partition.hpp"
 #include "solver/newton.hpp"
-#include "sparse/ilu.hpp"
+#include "solver/precond.hpp"
 
 namespace {
 
@@ -243,96 +245,13 @@ TEST(OwnerComputes, EdgeKernelsAccumulateInEdgeOrderAtAnyThreadCount) {
   check_edge_order_contract(m);
 }
 
-// --- level schedules -----------------------------------------------------
+// --- Schwarz preconditioner across thread counts --------------------------
 
-// Laplacian-like CSR of the mesh vertex graph: diagonally dominant, so
-// ILU factors exist without pivoting.
-sparse::Csr<double> graph_matrix(const mesh::UnstructuredMesh& m) {
-  const int n = m.num_vertices();
-  std::vector<std::vector<int>> adj(n);
-  for (const auto& e : m.edges()) {
-    adj[e[0]].push_back(e[1]);
-    adj[e[1]].push_back(e[0]);
-  }
-  sparse::Csr<double> a;
-  a.n = n;
-  a.ptr.push_back(0);
-  for (int i = 0; i < n; ++i) {
-    auto& nb = adj[i];
-    nb.push_back(i);
-    std::sort(nb.begin(), nb.end());
-    for (int j : nb) {
-      a.col.push_back(j);
-      a.val.push_back(j == i ? static_cast<double>(nb.size()) + 1.0 : -1.0);
-    }
-    a.ptr.push_back(static_cast<int>(a.col.size()));
-  }
-  return a;
-}
-
-void check_schedule(const sparse::IluPattern& pat) {
-  const auto fwd = sparse::lower_levels(pat);
-  const auto bwd = sparse::upper_levels(pat);
-  // Both schedules cover every row exactly once.
-  for (const auto* sch : {&fwd, &bwd}) {
-    ASSERT_EQ(static_cast<int>(sch->rows.size()), pat.n);
-    std::vector<int> seen(pat.n, 0);
-    for (int r : sch->rows) ++seen[r];
-    for (int i = 0; i < pat.n; ++i) ASSERT_EQ(seen[i], 1);
-  }
-  // Dependencies live in strictly earlier levels.
-  std::vector<int> lev_fwd(pat.n), lev_bwd(pat.n);
-  for (int l = 0; l < fwd.num_levels(); ++l)
-    for (int p = fwd.level_ptr[l]; p < fwd.level_ptr[l + 1]; ++p)
-      lev_fwd[fwd.rows[p]] = l;
-  for (int l = 0; l < bwd.num_levels(); ++l)
-    for (int p = bwd.level_ptr[l]; p < bwd.level_ptr[l + 1]; ++p)
-      lev_bwd[bwd.rows[p]] = l;
-  for (int i = 0; i < pat.n; ++i) {
-    for (int p = pat.ptr[i]; p < pat.diag[i]; ++p)
-      ASSERT_LT(lev_fwd[pat.col[p]], lev_fwd[i]);
-    for (int p = pat.diag[i] + 1; p < pat.ptr[i + 1]; ++p)
-      ASSERT_LT(lev_bwd[pat.col[p]], lev_bwd[i]);
-  }
-}
-
-TEST(LevelSchedule, ValidOnShuffledWingsAndFillLevels) {
-  for (int target : {300, 2000}) {
-    auto m = mesh::generate_wing_mesh_with_size(target);
-    mesh::shuffle_mesh(m, 11);
-    const auto a = graph_matrix(m);
-    for (int fill : {0, 1}) {
-      const auto pat = sparse::ilu_symbolic(a, fill);
-      check_schedule(pat);
-    }
-  }
-}
-
-TEST(LevelSchedule, PointSolveMatchesSerialBitwise) {
-  auto m = mesh::generate_wing_mesh_with_size(2000);
-  mesh::shuffle_mesh(m, 5);
-  const auto a = graph_matrix(m);
-  const auto pat = sparse::ilu_symbolic(a, 1);
-  const auto ilu = sparse::ilu_factor_point<double>(a, pat);
-  const auto fwd = sparse::lower_levels(pat);
-  const auto bwd = sparse::upper_levels(pat);
-  std::vector<double> b(a.n), x_serial(a.n), x_par(a.n);
-  for (int i = 0; i < a.n; ++i) b[i] = std::sin(0.1 * i) + 2.0;
-  ilu.solve(b.data(), x_serial.data());
-  for (int nt : {1, 2, 4}) {
-    exec::ThreadScope scope(nt);
-    std::fill(x_par.begin(), x_par.end(), 0.0);
-    ilu.solve_levels(fwd, bwd, b.data(), x_par.data());
-    EXPECT_EQ(std::memcmp(x_serial.data(), x_par.data(),
-                          x_serial.size() * sizeof(double)),
-              0)
-        << "nt=" << nt;
-  }
-}
-
-TEST(LevelSchedule, BlockSolveMatchesSerialBitwise) {
-  auto m = mesh::generate_wing_mesh_with_size(800);
-  mesh::shuffle_mesh(m, 9);
+// Four overlapping subdomains of a first-order wing Jacobian: apply() must
+// not depend on the pool size, for restricted and additive prolongation.
+TEST(Schwarz, ApplyBitIdenticalAcrossThreadCounts) {
+  auto m = mesh::generate_wing_mesh_with_size(1200);
+  mesh::apply_best_ordering(m);
   cfd::FlowConfig cfg;
   cfg.model = cfd::Model::kIncompressible;
   cfg.order = 1;
@@ -344,22 +263,27 @@ TEST(LevelSchedule, BlockSolveMatchesSerialBitwise) {
     for (int c = 0; c < jac.nb; ++c)
       blk[static_cast<std::size_t>(c) * jac.nb + c] += 1.0;
   }
-  const auto pat = sparse::ilu_symbolic(jac, 0);
-  const auto ilu = sparse::ilu_factor_block<double>(jac, pat);
-  const auto fwd = sparse::lower_levels(pat);
-  const auto bwd = sparse::upper_levels(pat);
+  const auto partition =
+      part::kway_grow(mesh::build_graph(m.num_vertices(), m.edges()), 4);
   const int n = jac.scalar_n();
-  std::vector<double> b(n), x_serial(n), x_par(n);
-  for (int i = 0; i < n; ++i) b[i] = 1.0 + 0.01 * (i % 31);
-  ilu.solve(b.data(), x_serial.data());
-  for (int nt : {1, 2, 4}) {
-    exec::ThreadScope scope(nt);
-    std::fill(x_par.begin(), x_par.end(), 0.0);
-    ilu.solve_levels(fwd, bwd, b.data(), x_par.data());
-    EXPECT_EQ(std::memcmp(x_serial.data(), x_par.data(),
-                          x_serial.size() * sizeof(double)),
-              0)
-        << "nt=" << nt;
+  std::vector<double> r(n), z_ref(n), z(n);
+  for (int i = 0; i < n; ++i) r[i] = std::sin(0.37 * i) + 0.5;
+
+  for (auto type : {solver::SchwarzType::kRasm, solver::SchwarzType::kAsm}) {
+    SCOPED_TRACE(type == solver::SchwarzType::kRasm ? "rasm" : "asm");
+    solver::SchwarzOptions opts;
+    opts.type = type;
+    opts.overlap = 1;
+    opts.fill_level = 1;
+    for (int nt : {1, 2, 4}) {
+      exec::ThreadScope scope(nt);
+      const solver::SchwarzPreconditioner pc(jac, partition, opts);
+      ASSERT_EQ(pc.num_subdomains(), 4);
+      pc.apply(r.data(), nt == 1 ? z_ref.data() : z.data());
+      if (nt == 1) continue;
+      EXPECT_EQ(std::memcmp(z.data(), z_ref.data(), n * sizeof(double)), 0)
+          << "nt=" << nt;
+    }
   }
 }
 

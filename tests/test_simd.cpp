@@ -275,38 +275,6 @@ TEST(SimdConfig, HotKernelsAreThreadCountInvariantInBothConfigs) {
   exec::set_threads(before);
 }
 
-TEST(SimdConfig, TrisolveLevelScheduleMatchesSerialInBothConfigs) {
-  auto m = mesh::generate_wing_mesh(
-      mesh::WingMeshConfig{.nx = 5, .ny = 4, .nz = 3});
-  cfd::FlowConfig cfg;
-  cfg.model = cfd::Model::kIncompressible;
-  cfg.order = 1;
-  cfd::EulerDiscretization disc(m, cfg);
-  const auto jac = wing_jacobian(disc);
-  const int n = jac.scalar_n();
-  const auto pat = sparse::ilu_symbolic(jac, 0);
-  const auto ilu = sparse::ilu_factor_block<double>(jac, pat);
-  const auto fwd = sparse::lower_levels(pat);
-  const auto bwd = sparse::upper_levels(pat);
-  const auto b = pattern_vector(n, 0.25);
-
-  const int before = exec::pool().num_threads();
-  for (bool use_simd : {false, true}) {
-    simd::EnabledScope scope(use_simd);
-    std::vector<double> zs(static_cast<std::size_t>(n)),
-        zl(static_cast<std::size_t>(n));
-    ilu.solve(b.data(), zs.data());
-    for (int nt : {1, 2, 4}) {
-      exec::set_threads(nt);
-      ilu.solve_levels(fwd, bwd, b.data(), zl.data());
-      EXPECT_EQ(std::memcmp(zs.data(), zl.data(), zs.size() * sizeof(double)),
-                0)
-          << "simd=" << use_simd << ", " << nt << " threads";
-    }
-  }
-  exec::set_threads(before);
-}
-
 // --- the nb == 4 pack kernels against their scalar references -----------
 
 // A wing state far from freestream, so Jacobian blocks are all distinct.
