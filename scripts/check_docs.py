@@ -45,6 +45,10 @@ Checks, in order:
      documenting it fails CI.
   10. No dead relative links in README.md, DESIGN.md, EXPERIMENTS.md,
       ROADMAP.md, or docs/*.md.
+  11. Every backticked name in the first column of README.md's
+      PtcRecoveryOptions table is a field of that struct in
+      src/solver/newton.hpp, so the table cannot advertise a knob that
+      no longer exists.
 
 Stdlib only; exits nonzero with one line per problem found.
 """
@@ -554,6 +558,44 @@ def check_trace(path, min_coverage, errors):
                 f"need >= {min_coverage:.0%}")
 
 
+def check_recovery_table(repo_root, errors):
+    readme = os.path.join(repo_root, "README.md")
+    header = os.path.join(repo_root, "src", "solver", "newton.hpp")
+    if not (os.path.isfile(readme) and os.path.isfile(header)):
+        return
+    with open(header, encoding="utf-8") as f:
+        struct = re.search(r"^struct PtcRecoveryOptions \{\n(.*?)^\};",
+                           f.read(), re.M | re.S)
+    if struct is None:
+        errors.append("src/solver/newton.hpp: struct PtcRecoveryOptions "
+                      "not found")
+        return
+    fields = set(re.findall(r"^\s*[\w:<>]+\s+(\w+)\s*(?:=[^;]*)?;",
+                            struct.group(1), re.M))
+    with open(readme, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if "PtcRecoveryOptions" in line), None)
+    if start is None:
+        errors.append("README.md: no PtcRecoveryOptions table")
+        return
+    start = next((i for i in range(start, len(lines))
+                  if lines[i].startswith("|")), len(lines))
+    rows = 0
+    for lineno in range(start + 2, len(lines)):  # skip header + separator
+        line = lines[lineno]
+        if not line.startswith("|"):
+            break
+        rows += 1
+        for name in re.findall(r"`([^`]*)`", line.split("|")[1]):
+            if name not in fields:
+                errors.append(f"README.md:{lineno + 1}: recovery table names "
+                              f"{name!r}, which is not a field of "
+                              "PtcRecoveryOptions")
+    if rows == 0:
+        errors.append("README.md: PtcRecoveryOptions table has no rows")
+
+
 def check_markdown_links(repo_root, errors):
     files = [os.path.join(repo_root, f) for f in MARKDOWN_FILES]
     files += sorted(glob.glob(os.path.join(repo_root, "docs", "*.md")))
@@ -617,6 +659,7 @@ def main():
         check_knob_docs(args.knobs, tuning_md, errors)
 
     check_markdown_links(repo_root, errors)
+    check_recovery_table(repo_root, errors)
 
     if errors:
         for e in errors:

@@ -36,8 +36,10 @@
 #      committed BENCH_*.json must carry the f3d-bench-v1 envelope, the
 #      tuning DB must match f3d-tunedb-v1, every registered knob (dumped
 #      via tuned_solve -dump-knobs) must be documented in docs/TUNING.md
-#      (with a negative control proving the cross-check can fail), and
-#      the markdown must have no dead relative links
+#      (with a negative control proving the cross-check can fail), the
+#      markdown must have no dead relative links, and README's
+#      PtcRecoveryOptions table may name only fields of that struct (with
+#      its own negative control)
 #   4. ASan+UBSan build + the resilience-labelled tests (the fault
 #      injection / recovery / checkpoint / distributed-campaign paths,
 #      where memory bugs would hide behind error handling) + the driver-
@@ -150,6 +152,21 @@ cat > build/docs_negctl/BENCH_mystery.json <<'EOF'
 EOF
 if python3 scripts/check_docs.py --repo build/docs_negctl >/dev/null 2>&1; then
   echo "ERROR: check_docs.py accepted an unregistered BENCH experiment" >&2
+  exit 1
+fi
+
+# Negative control for the recovery-table cross-check: a README row naming
+# a field PtcRecoveryOptions does not have must be reported.
+echo "=== docs gate negative control (README names a removed knob) ==="
+mkdir -p build/docs_negctl_recovery/src/solver
+cp src/solver/newton.hpp build/docs_negctl_recovery/src/solver/
+sed 's/^| `resume` |/| `max_step_retries` | 6 | removed knob |\n&/' README.md \
+  > build/docs_negctl_recovery/README.md
+python3 scripts/check_docs.py --repo build/docs_negctl_recovery \
+  > build/docs_negctl_recovery/check.log 2>&1 || true
+if ! grep -q "names 'max_step_retries'" \
+     build/docs_negctl_recovery/check.log; then
+  echo "ERROR: check_docs.py accepted a README naming a removed knob" >&2
   exit 1
 fi
 

@@ -17,7 +17,9 @@ void FlowConfig::bind(tune::Registry& reg, const std::string& prefix) {
   reg.add_bool(prefix + "reco_single_precision", &reco_single_precision,
                "store second-order reconstruction operands in float "
                "(double arithmetic) — the Table 2 storage/accumulate "
-               "split on the flux side");
+               "split on the flux side; read only at order 2, so the "
+               "first-order tuning lab excludes it from the default "
+               "search space");
 }
 
 }  // namespace f3d::cfd

@@ -57,8 +57,6 @@ Table registry_table(const obs::Snapshot& snapshot) {
   Table t({"kind", "name", "value"});
   for (const auto& [k, v] : snapshot.counters)
     t.add_row({"counter", k, Table::num(v)});
-  for (const auto& [k, v] : snapshot.times)
-    t.add_row({"time", k, Table::num(v, 6) + "s"});
   for (const auto& [k, v] : snapshot.gauges)
     t.add_row({"gauge", k, Table::num(v, 3)});
   return t;

@@ -84,14 +84,20 @@ std::vector<int> schedule_order(const BatchSpec& spec) {
   return order;
 }
 
-long long admit_units(const ScenarioSpec& sc, const FleetOptions& opts) {
-  return sc.work_units > 0 ? sc.work_units : opts.default_admit_units;
+/// Admission charge for a scenario with work_units == 0 (an unbounded
+/// solve still occupies the fleet).
+constexpr long long kDefaultAdmitUnits = 50000;
+
+long long admit_units(const ScenarioSpec& sc) {
+  return sc.work_units > 0 ? sc.work_units : kDefaultAdmitUnits;
 }
 
+constexpr unsigned kBackoffSeed = 1;  ///< jitter stream seed
+
 /// Deterministic backoff jitter in [0.5, 1.5): one draw per
-/// (seed, scenario, attempt), independent of timing and worker identity.
-double backoff_jitter(unsigned seed, int id, int attempt) {
-  Rng rng(seed ^ (static_cast<unsigned>(id) * 2654435761u) ^
+/// (scenario, attempt), independent of timing and worker identity.
+double backoff_jitter(int id, int attempt) {
+  Rng rng(kBackoffSeed ^ (static_cast<unsigned>(id) * 2654435761u) ^
           (static_cast<unsigned>(attempt) << 20));
   return 0.5 + rng.uniform();
 }
@@ -303,7 +309,7 @@ struct Service::Impl {
         if (opts.backoff_base_ms > 0) {
           const double ms = opts.backoff_base_ms *
                             static_cast<double>(1 << attempt) *
-                            backoff_jitter(opts.backoff_seed, sc.id, attempt);
+                            backoff_jitter(sc.id, attempt);
           std::this_thread::sleep_for(
               std::chrono::duration<double, std::milli>(ms));
         }
@@ -505,7 +511,7 @@ BatchResult Service::serve(const BatchSpec& spec) {
         cancelled_ids.insert(sc.supersedes).second)
       cancel_queued(sc.supersedes, "superseded by scenario " +
                                        std::to_string(id) + " while queued");
-    const long long units = admit_units(sc, im.opts);
+    const long long units = admit_units(sc);
     if (im.opts.admission_capacity_units > 0 &&
         used_units + units > im.opts.admission_capacity_units) {
       slot.status = ScenarioStatus::kShed;

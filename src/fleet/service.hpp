@@ -85,14 +85,10 @@ struct FleetOptions {
   bool resume = false;         ///< replay journal_path and continue it
   int max_attempts = 3;        ///< retry-ladder strikes before quarantine
   double backoff_base_ms = 0;  ///< retry backoff base (0 = no backoff sleep)
-  unsigned backoff_seed = 1;   ///< jitter stream seed
   /// Aggregate admission capacity in guard work units (0 = unlimited).
   /// Scenarios whose work_units do not fit the remaining capacity are
   /// shed, in scheduling order.
   long long admission_capacity_units = 0;
-  /// Admission charge for a scenario with work_units == 0 (an unbounded
-  /// solve still occupies the fleet).
-  long long default_admit_units = 50000;
   std::string tune_db_path;    ///< consult f3d-tunedb-v1 on attempt 0
   /// Test hook: stop the whole service abruptly after this many commits
   /// (0 = off). Emulates a mid-batch crash — the journal is left exactly

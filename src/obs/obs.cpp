@@ -132,12 +132,6 @@ void Registry::count(const std::string& name, long long delta) {
   sh.counters[name] += delta;
 }
 
-void Registry::add_time(const std::string& name, double seconds) {
-  Shard& sh = my_shard();
-  std::lock_guard<std::mutex> lk(sh.mu);
-  sh.times[name] += seconds;
-}
-
 void Registry::set_gauge(const std::string& name, double value) {
   std::lock_guard<std::mutex> lk(gauge_mu_);
   gauges_[name] = value;
@@ -153,29 +147,10 @@ long long Registry::counter(const std::string& name) const {
   return total;
 }
 
-double Registry::seconds(const std::string& name) const {
-  double total = 0;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.times.find(name);
-    if (it != sh.times.end()) total += it->second;
-  }
-  return total;
-}
-
 double Registry::gauge(const std::string& name) const {
   std::lock_guard<std::mutex> lk(gauge_mu_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second;
-}
-
-double Registry::total_time() const {
-  double total = 0;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    for (const auto& [k, v] : sh.times) total += v;
-  }
-  return total;
 }
 
 Snapshot Registry::snapshot() const {
@@ -183,7 +158,6 @@ Snapshot Registry::snapshot() const {
   for (const Shard& sh : shards_) {
     std::lock_guard<std::mutex> lk(sh.mu);
     for (const auto& [k, v] : sh.counters) s.counters[k] += v;
-    for (const auto& [k, v] : sh.times) s.times[k] += v;
   }
   std::lock_guard<std::mutex> lk(gauge_mu_);
   s.gauges = gauges_;
@@ -194,7 +168,6 @@ void Registry::clear() {
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lk(sh.mu);
     sh.counters.clear();
-    sh.times.clear();
   }
   std::lock_guard<std::mutex> lk(gauge_mu_);
   gauges_.clear();

@@ -164,20 +164,17 @@ class Span {
 /// Merged view of a Registry at one instant.
 struct Snapshot {
   std::map<std::string, long long> counters;
-  std::map<std::string, double> times;  ///< accumulated seconds
   std::map<std::string, double> gauges;
   [[nodiscard]] bool empty() const {
-    return counters.empty() && times.empty() && gauges.empty();
+    return counters.empty() && gauges.empty();
   }
 };
 
-/// Thread-safe named counters (exact integers), time accumulators
-/// (seconds), and gauges (last-write-wins). Counters and times
-/// accumulate into per-thread-striped shards so concurrent increments
-/// from pool workers never contend on one lock; reads merge the shards.
-/// Counter totals are exact for any thread count (integer addition
-/// commutes); time totals are summed in shard order, which is
-/// deterministic for a fixed assignment of adds to threads.
+/// Thread-safe named counters (exact integers) and gauges
+/// (last-write-wins). Counters accumulate into per-thread-striped shards
+/// so concurrent increments from pool workers never contend on one lock;
+/// reads merge the shards. Counter totals are exact for any thread count
+/// (integer addition commutes). Time is measured by spans, not here.
 class Registry {
  public:
   Registry() = default;
@@ -186,14 +183,10 @@ class Registry {
   static Registry& global();
 
   void count(const std::string& name, long long delta = 1);
-  void add_time(const std::string& name, double seconds);
   void set_gauge(const std::string& name, double value);
 
   [[nodiscard]] long long counter(const std::string& name) const;
-  [[nodiscard]] double seconds(const std::string& name) const;
   [[nodiscard]] double gauge(const std::string& name) const;
-  /// Sum of every time bucket.
-  [[nodiscard]] double total_time() const;
 
   [[nodiscard]] Snapshot snapshot() const;
   void clear();
@@ -203,7 +196,6 @@ class Registry {
   struct Shard {
     mutable std::mutex mu;
     std::map<std::string, long long> counters;
-    std::map<std::string, double> times;
   };
   static int thread_slot();
   Shard& my_shard() { return shards_[thread_slot() & (kShards - 1)]; }

@@ -24,17 +24,13 @@ bool is_bench_report(const Json& v) {
 
 namespace {
 
-// Flattened into the meta object as counters/times/gauges members.
+// Flattened into the meta object as counters/gauges members.
 void embed_snapshot(Json& meta, const Snapshot& s) {
   Json counters = Json::object();
   for (const auto& [k, v] : s.counters) counters.set(k, v);
-  Json times = Json::object();
-  for (const auto& [k, v] : s.times) times.set(k, v);
   Json gauges = Json::object();
   for (const auto& [k, v] : s.gauges) gauges.set(k, v);
-  meta.set("counters", std::move(counters))
-      .set("times", std::move(times))
-      .set("gauges", std::move(gauges));
+  meta.set("counters", std::move(counters)).set("gauges", std::move(gauges));
 }
 
 }  // namespace
@@ -90,10 +86,6 @@ std::string snapshot_csv(const Snapshot& s) {
   char buf[256];
   for (const auto& [k, v] : s.counters) {
     std::snprintf(buf, sizeof buf, "counter,%s,%lld\n", k.c_str(), v);
-    out += buf;
-  }
-  for (const auto& [k, v] : s.times) {
-    std::snprintf(buf, sizeof buf, "time,%s,%.9f\n", k.c_str(), v);
     out += buf;
   }
   for (const auto& [k, v] : s.gauges) {

@@ -33,7 +33,7 @@ bool is_bench_report(const Json& v);
 /// "ms", "meta": {"schema": "f3d-trace-v1", ...}}. Every span becomes one
 /// complete ("ph":"X") event with microsecond ts/dur; per-tracer thread
 /// ids map to trace tids. A non-null registry snapshot is embedded under
-/// meta.counters/meta.times/meta.gauges.
+/// meta.counters/meta.gauges.
 Json chrome_trace_json(const std::vector<SpanEvent>& events,
                        const Snapshot* registry = nullptr);
 
@@ -47,7 +47,7 @@ bool write_chrome_trace(const std::string& path,
 /// "name,tid,depth,t0_us,dur_us" rows, header included.
 std::string spans_csv(const std::vector<SpanEvent>& events);
 
-/// "kind,name,value" rows (kind = counter|time|gauge), header included.
+/// "kind,name,value" rows (kind = counter|gauge), header included.
 std::string snapshot_csv(const Snapshot& s);
 
 // --- env-driven flush ------------------------------------------------------

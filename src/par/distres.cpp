@@ -58,6 +58,14 @@ PartitionLoad shrink_load(const PartitionLoad& in) {
 
 namespace {
 
+/// Modeled compute cost of a shrink repartition, per vertex a survivor
+/// takes on.
+constexpr double kRepartitionFlopsPerVertex = 200;
+
+/// Lowest halo-payload bit whose flip the receiving rank's SDC guards
+/// catch (CampaignOptions::sdc_guards).
+constexpr int kSdcCaughtMinBit = 48;
+
 // Modeled cost (seconds) of moving one rank's checkpoint payload to or
 // from its buddy: wire transfer plus a memory copy on each side plus a
 // CRC pass on each side. All ranks mirror concurrently, so one transfer
@@ -140,6 +148,9 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
   std::vector<double> rank_link(static_cast<std::size_t>(nranks), 1.0);
   std::vector<double> jit(static_cast<std::size_t>(nranks), 0.0);
   std::vector<double> telemetry(static_cast<std::size_t>(nranks), 0.0);
+  // Each rank's telemetry summed over the campaign, published once at its
+  // end as the gauge par.rank_busy_s.<r> (campaigns of <= 64 ranks).
+  std::vector<double> busy_total(static_cast<std::size_t>(nranks), 0.0);
   // Per-rank load share (weighted-repartition aware): share_r = the
   // rank's vertex count over the ideal, so the perturbation terms see a
   // slow rank shrink off the critical path after a rebalance.
@@ -296,9 +307,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
       const double x =
           busy_h * f * (1.0 + eps) + 0.3 * busy_h * (link_stretch - 1.0);
       telemetry[static_cast<std::size_t>(rank)] = x;
-      if (nranks <= 64)
-        obs::Registry::global().add_time(
-            "par.rank_busy_s." + std::to_string(rank), x);
+      busy_total[static_cast<std::size_t>(rank)] += x;
     }
     const std::vector<int> confirmed_now =
         detector.observe(s, telemetry, &r.rank_alive);
@@ -357,7 +366,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
           load.procs = alive;
           update_share();
         }
-        slow_restore += opts.repartition_flops_per_vertex *
+        slow_restore += kRepartitionFlopsPerVertex *
                         (load.total_vertices / std::max(alive, 1)) /
                         (machine.flux_mflops() * 1e6);
         ++r.weighted_repartitions;
@@ -486,7 +495,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
                       "analytic shrink to " + std::to_string(load.procs) +
                           " ranks");
           }
-          restore += opts.repartition_flops_per_vertex *
+          restore += kRepartitionFlopsPerVertex *
                      (load.total_vertices / alive) /
                      (machine.flux_mflops() * 1e6);
         }
@@ -519,7 +528,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
       ++r.sdc_injected;
       obs::Registry::global().count("par.halo_bitflips");
       const int bit = opts.injector->bit_flip().bit;
-      if (opts.sdc_guards && bit >= opts.sdc_caught_min_bit) {
+      if (opts.sdc_guards && bit >= kSdcCaughtMinBit) {
         ++r.sdc_caught;
         r.log.add(s, resilience::RecoveryAction::kDetectSdc,
                   "halo payload bit " + std::to_string(bit) + " flipped into rank " +
@@ -549,6 +558,11 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
       do_checkpoint(s + 1);
   }
 
+  if (nranks <= 64)
+    for (int rank = 0; rank < nranks; ++rank)
+      obs::Registry::global().set_gauge(
+          "par.rank_busy_s." + std::to_string(rank),
+          busy_total[static_cast<std::size_t>(rank)]);
   r.slow_suspected = detector.suspected_events();
   for (int rank = 0; rank < nranks; ++rank)
     r.slow_detect_latency_steps =

@@ -70,7 +70,6 @@ struct CampaignOptions {
 
   // Recovery cost knobs (modeled seconds / rates).
   double spare_boot_s = 2.0;  ///< spare wake + join barrier
-  double repartition_flops_per_vertex = 200;  ///< shrink compute cost
   /// Checkpoint payload size per owned vertex, in doubles. 0 = just the
   /// state vector (work.nb). A full warm-restart image also carries the
   /// residual, the Jacobian and ILU blocks (~2*nb^2) and the Krylov
@@ -83,13 +82,12 @@ struct CampaignOptions {
   // models LINK corruption — a payload flipped in memory before packing
   // (or after unpacking) checksums as valid on the wire and sails through
   // retransmission. It can only be caught downstream, by the receiving
-  // rank's ABFT / admissibility guards, which is what these knobs model:
-  // with sdc_guards on, a flip in bit >= sdc_caught_min_bit perturbs the
-  // solve enough for a guard to fire (roll back to the last buddy
-  // checkpoint and re-execute); lower bits — and every flip with guards
-  // off — escape silently into the campaign's answer.
+  // rank's ABFT / admissibility guards, which is what this knob models:
+  // with sdc_guards on, a flip in bit >= 48 perturbs the solve enough for
+  // a guard to fire (roll back to the last buddy checkpoint and
+  // re-execute); lower bits — and every flip with guards off — escape
+  // silently into the campaign's answer.
   bool sdc_guards = true;
-  int sdc_caught_min_bit = 48;
 
   // Fail-slow tolerance (FaultSite::kSlowRank / kJitter / kDegradedLink,
   // one opportunity each per alive rank per step — drawn on every step

@@ -234,6 +234,9 @@ void balance_pass(const WGraph& g, std::vector<int>& part, int nparts,
   }
 }
 
+/// Coarsening stops once a level has at most this many vertices per part.
+constexpr int kCoarsenPerPart = 8;
+
 }  // namespace
 
 Partition multilevel_kway(const mesh::Graph& g, int nparts,
@@ -248,7 +251,7 @@ Partition multilevel_kway(const mesh::Graph& g, int nparts,
   }
 
   Rng rng(opts.seed ^ 0x5bd1e995u);
-  const int target = opts.coarsen_to > 0 ? opts.coarsen_to : 8 * nparts;
+  const int target = kCoarsenPerPart * nparts;
 
   // --- coarsening hierarchy ---
   std::vector<WGraph> levels;

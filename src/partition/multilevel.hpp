@@ -12,7 +12,6 @@ namespace f3d::part {
 
 struct MultilevelOptions {
   unsigned seed = 0;
-  int coarsen_to = 0;       ///< stop when vertices <= this (0 = 8*nparts)
   int refine_passes = 4;    ///< FM passes per uncoarsening level
   double imbalance_tol = 1.05;  ///< max part weight / ideal
 };

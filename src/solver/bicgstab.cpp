@@ -11,6 +11,10 @@
 
 namespace f3d::solver {
 
+namespace {
+constexpr double kAtol = 1e-50;  ///< absolute residual floor
+}  // namespace
+
 BicgstabResult bicgstab(const LinearOperator& a, const Preconditioner& m,
                         const std::vector<double>& b, std::vector<double>& x,
                         const BicgstabOptions& opts) {
@@ -29,15 +33,15 @@ BicgstabResult bicgstab(const LinearOperator& a, const Preconditioner& m,
   double rnorm = sparse::norm2(r);
   ++res.counters.dots;
   res.initial_residual = rnorm;
-  const double target = std::max(opts.atol, opts.rtol * rnorm);
+  const double target = std::max(kAtol, opts.rtol * rnorm);
 
+  guard::SolveGuard* const sguard = guard::active_guard();
   double rho_prev = 1, alpha = 1, omega = 1;
   while (res.iterations < opts.max_iters && rnorm > target) {
-    // Budget charge at the iteration boundary (see GmresOptions::guard):
-    // the deterministic trip point for bounded cancellation latency.
-    if (opts.guard != nullptr &&
-        opts.guard->charge(guard::kUnitsKrylovIter) !=
-            guard::TripReason::kNone) {
+    // Budget charge at the iteration boundary: the deterministic trip
+    // point for bounded cancellation latency.
+    if (sguard != nullptr &&
+        sguard->charge(guard::kUnitsKrylovIter) != guard::TripReason::kNone) {
       res.guard_tripped = true;
       break;
     }

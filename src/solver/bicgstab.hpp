@@ -10,15 +10,10 @@
 
 #include "solver/linear.hpp"
 
-namespace f3d::guard {
-class SolveGuard;
-}
-
 namespace f3d::solver {
 
 struct BicgstabOptions {
   double rtol = 1e-3;
-  double atol = 1e-50;
   int max_iters = 200;
 
   // Krylov invariant monitor (SDC watchdog): every true_residual_every
@@ -28,11 +23,6 @@ struct BicgstabOptions {
   // costs one extra matvec per check; 0 in either field disables it.
   int true_residual_every = 0;
   double sdc_drift_tol = 0;
-
-  // Run-to-completion guard (f3d::guard). When set, every iteration
-  // charges guard::kUnitsKrylovIter; a budget/cancel trip ends the solve
-  // cleanly at the next iteration boundary with guard_tripped set.
-  guard::SolveGuard* guard = nullptr;
 };
 
 struct BicgstabResult {
@@ -48,6 +38,9 @@ struct BicgstabResult {
 };
 
 /// Solve A x = b with right preconditioning; x carries the initial guess.
+/// While the calling thread has an active guard (guard::GuardScope), every
+/// iteration charges guard::kUnitsKrylovIter; a budget/cancel trip ends
+/// the solve cleanly at the next iteration boundary with guard_tripped set.
 BicgstabResult bicgstab(const LinearOperator& a, const Preconditioner& m,
                         const std::vector<double>& b, std::vector<double>& x,
                         const BicgstabOptions& opts);

@@ -16,6 +16,11 @@ namespace f3d::solver {
 namespace {
 using sparse::Vec;
 
+constexpr double kAtol = 1e-50;  ///< absolute residual floor
+// Stagnation watchdog (see gmres.hpp).
+constexpr double kStagnationFactor = 0.9999;
+constexpr int kMaxStagnantRestarts = 2;
+
 // One GMRES cycle of up to `m` iterations. Returns iterations done and
 // updates x; sets `resid` to the estimated true residual norm.
 // `entry_beta` (optional) receives the TRUE residual ||b - Ax|| computed
@@ -182,10 +187,10 @@ GmresResult gmres(const LinearOperator& a, const Preconditioner& m,
     res.initial_residual = sparse::norm2(r);
     ++res.counters.dots;
   }
-  const double target =
-      std::max(opts.atol, opts.rtol * res.initial_residual);
+  const double target = std::max(kAtol, opts.rtol * res.initial_residual);
   resid = res.initial_residual;
 
+  guard::SolveGuard* const sguard = guard::active_guard();
   int stagnant_cycles = 0;
   int restart_cycles = 0;
   while (res.iterations < opts.max_iters && resid > target) {
@@ -194,7 +199,7 @@ GmresResult gmres(const LinearOperator& a, const Preconditioner& m,
     double entry_beta = 0;
     bool guard_tripped = false;
     const int done = gmres_cycle(a, m, b, x, room, target, &resid, opts.orth,
-                                 res.counters, opts.guard, &guard_tripped,
+                                 res.counters, sguard, &guard_tripped,
                                  &entry_beta);
     // Krylov invariant monitor: the recurrence estimate the previous
     // cycle ended with (resid_before) and the true residual this cycle
@@ -217,8 +222,8 @@ GmresResult gmres(const LinearOperator& a, const Preconditioner& m,
     }
     if (done == 0) break;  // stagnation or immediate convergence
     // Stagnation watchdog: stop burning restarts that make no progress.
-    if (resid > target && resid >= opts.stagnation_factor * resid_before) {
-      if (++stagnant_cycles >= opts.max_stagnant_restarts) {
+    if (resid > target && resid >= kStagnationFactor * resid_before) {
+      if (++stagnant_cycles >= kMaxStagnantRestarts) {
         res.stagnated = true;
         res.reason = "stagnation: " + std::to_string(stagnant_cycles) +
                      " restart cycle(s) of m=" + std::to_string(opts.restart) +

@@ -8,10 +8,6 @@
 
 #include "solver/linear.hpp"
 
-namespace f3d::guard {
-class SolveGuard;
-}
-
 namespace f3d::tune {
 class Registry;
 }
@@ -28,18 +24,9 @@ enum class Orthogonalization {
 
 struct GmresOptions {
   double rtol = 1e-3;       ///< relative residual tolerance
-  double atol = 1e-50;
   int max_iters = 200;      ///< total Krylov iterations across restarts
   int restart = 20;         ///< Krylov subspace dimension
   Orthogonalization orth = Orthogonalization::kModifiedGramSchmidt;
-
-  // Stagnation watchdog: a restart cycle that fails to reduce the
-  // residual below stagnation_factor x (previous cycle's residual) counts
-  // as stagnant; after max_stagnant_restarts consecutive stagnant cycles
-  // the solve stops with converged=false and a reason string instead of
-  // silently burning the rest of max_iters.
-  double stagnation_factor = 0.9999;
-  int max_stagnant_restarts = 2;
 
   // Krylov invariant monitor (SDC watchdog): at each restart the cycle
   // recomputes the TRUE residual ||b - Ax|| anyway; in exact arithmetic
@@ -51,12 +38,6 @@ struct GmresOptions {
   // disables the check. The comparison reuses an existing matvec, so the
   // monitor is free.
   double sdc_drift_tol = 0;
-
-  // Run-to-completion guard (f3d::guard). When set, every Krylov
-  // iteration charges guard::kUnitsKrylovIter; a budget/cancel trip ends
-  // the solve cleanly at the next iteration boundary with guard_tripped
-  // set (bounded, deterministic cancellation latency).
-  guard::SolveGuard* guard = nullptr;
 
   /// Register the §2.4.2 tuning parameters (restart length, inexactness
   /// tolerance, iteration cap, orthogonalization mechanism) into the flat
@@ -82,6 +63,17 @@ struct GmresResult {
 /// Solve A x = b; x holds the initial guess on entry and the solution on
 /// exit. Right-preconditioned: residuals reported are true (unpreconditioned)
 /// residual estimates from the Arnoldi recurrence.
+///
+/// Stagnation watchdog: a restart cycle that fails to reduce the residual
+/// below 0.9999 x the previous cycle's counts as stagnant; after 2
+/// consecutive stagnant cycles the solve stops with stagnated set and a
+/// reason string instead of silently burning the rest of max_iters.
+///
+/// Run-to-completion guard (f3d::guard): while the calling thread has an
+/// active guard (guard::GuardScope), every iteration charges
+/// guard::kUnitsKrylovIter; a budget/cancel trip ends the solve cleanly at
+/// the next iteration boundary with guard_tripped set (bounded,
+/// deterministic cancellation latency).
 GmresResult gmres(const LinearOperator& a, const Preconditioner& m,
                   const std::vector<double>& b, std::vector<double>& x,
                   const GmresOptions& opts);

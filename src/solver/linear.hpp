@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "resilience/recovery.hpp"
 #include "sparse/csr.hpp"
 
@@ -39,25 +38,10 @@ public:
   /// diagonal shift (up to `max_attempts` rungs of x10 from `shift0`,
   /// relative to the diagonal scale) instead of an abort. Returns false
   /// only if even the ladder failed; `report` (optional) records what was
-  /// needed. The base implementation has no ladder — it simply downgrades
-  /// a NumericalError from refactor() to a status.
+  /// needed.
   virtual bool refactor_checked(const sparse::Bcsr<double>& a, double shift0,
                                 int max_attempts,
-                                resilience::FactorReport* report) {
-    (void)shift0;
-    (void)max_attempts;
-    try {
-      refactor(a);
-    } catch (const NumericalError& e) {
-      if (report != nullptr) {
-        report->ok = false;
-        report->detail = e.what();
-      }
-      return false;
-    }
-    if (report != nullptr) *report = {};
-    return true;
-  }
+                                resilience::FactorReport* report) = 0;
 };
 
 /// Identity (no preconditioning).

@@ -51,25 +51,27 @@ struct LinearResult {
   SolveCounters counters;
 };
 
-/// Solve J dx = rhs once with the active method and settings; the SDC
-/// options switch on the solvers' invariant monitors.
+// The Krylov invariant monitors' settings while the SDC guards are on.
+constexpr double kGmresDriftTol = 1e-2;     ///< GmresOptions::sdc_drift_tol
+constexpr double kBicgstabDriftTol = 1e-2;  ///< BicgstabOptions::sdc_drift_tol
+constexpr int kBicgstabTrueResidualEvery = 10;  ///< extra matvec cadence
+
+/// Solve J dx = rhs once with the active method and settings; `sdc`
+/// switches on the solvers' invariant monitors.
 LinearResult krylov_solve(Krylov method, const LinearOperator& op,
                           const Preconditioner& prec,
                           const std::vector<double>& rhs,
-                          std::vector<double>& dx, GmresOptions gm,
-                          const PtcSdcOptions& sdc) {
+                          std::vector<double>& dx, GmresOptions gm, bool sdc) {
   if (method == Krylov::kBicgstab) {
     const BicgstabOptions bo{
         .rtol = gm.rtol, .max_iters = gm.max_iters,
-        .true_residual_every =
-            sdc.enabled ? sdc.bicgstab_true_residual_every : 0,
-        .sdc_drift_tol = sdc.enabled ? sdc.bicgstab_drift_tol : 0,
-        .guard = gm.guard};
+        .true_residual_every = sdc ? kBicgstabTrueResidualEvery : 0,
+        .sdc_drift_tol = sdc ? kBicgstabDriftTol : 0};
     const auto res = bicgstab(op, prec, rhs, dx, bo);
     return {res.iterations, res.converged, res.breakdown, false,
             res.sdc_suspected, {}, res.counters};
   }
-  if (sdc.enabled) gm.sdc_drift_tol = sdc.gmres_drift_tol;
+  if (sdc) gm.sdc_drift_tol = kGmresDriftTol;
   auto res = gmres(op, prec, rhs, dx, gm);
   return {res.iterations, res.converged, false, res.stagnated,
           res.sdc_suspected, std::move(res.reason), res.counters};
@@ -116,6 +118,21 @@ struct SolveState {
 /// failure decision: the plain driver aborts on its first detection, the
 /// resilient driver rejects the attempt and climbs a rung.
 struct RecoveryPolicy {
+  // Step rejection.
+  static constexpr int kMaxStepRetries = 6;  ///< attempts per pseudo-timestep
+  static constexpr double kCflBacktrackFactor = 0.25;  ///< CFL x on reject
+  static constexpr double kCflRegrow = 2.0;  ///< relaxation regrowth per step
+  static constexpr double kDivergenceFactor = 1e3;  ///< ||r|| growth to reject
+  // Zero-pivot shift ladder (Manteuffel-style, relative to diag scale).
+  static constexpr double kPivotShift0 = 1e-8;
+  static constexpr int kPivotShiftAttempts = 8;  ///< x10 escalation per rung
+  // Krylov escalation: a breakdown swaps BiCGStab -> GMRES; stagnation
+  // first escalates the GMRES restart length, then (once per solve) swaps
+  // GMRES -> BiCGStab. The swapped-to method stays active for the rest of
+  // the run.
+  static constexpr int kGmresRestartMax = 120;  ///< restart escalation cap
+  static constexpr int kMaxLinearRetries = 2;  ///< re-solves of one system
+
   const PtcRecoveryOptions& o;
   int lin_retries = 0;   ///< restart escalations of the current system
   bool swapped = false;  ///< method already swapped for the current system
@@ -140,8 +157,8 @@ struct RecoveryPolicy {
       return true;
     }
     resilience::FactorReport report;
-    const bool ok = prec.refactor_checked(jac, o.pivot_shift0,
-                                          o.pivot_shift_attempts, &report);
+    const bool ok = prec.refactor_checked(jac, kPivotShift0,
+                                          kPivotShiftAttempts, &report);
     if (report.shift_attempts > 0) {
       s.note(kDetectSingularFactor, "zero pivot in preconditioner refresh");
       char shift_buf[32];
@@ -168,7 +185,7 @@ struct RecoveryPolicy {
     if (!o.enabled) return false;
     if (lin.breakdown) {
       s.note(kDetectBreakdown, "BiCGStab rho/omega collapse");
-      if (o.allow_krylov_swap && !swapped) {
+      if (!swapped) {
         swapped = true;
         s.krylov = Krylov::kGmres;
         s.note(kKrylovSwap,
@@ -178,9 +195,9 @@ struct RecoveryPolicy {
     }
     if (lin.stagnated) {
       s.note(kDetectStagnation, lin.reason);
-      if (s.gmres.restart < o.gmres_restart_max &&
-          lin_retries < o.max_linear_retries) {
-        s.gmres.restart = std::min(o.gmres_restart_max, s.gmres.restart * 2);
+      if (s.gmres.restart < kGmresRestartMax &&
+          lin_retries < kMaxLinearRetries) {
+        s.gmres.restart = std::min(kGmresRestartMax, s.gmres.restart * 2);
         s.gmres.max_iters = std::max(s.gmres.max_iters, s.gmres.restart);
         s.note(kRestartEscalation,
                "restart -> " + std::to_string(s.gmres.restart));
@@ -190,7 +207,7 @@ struct RecoveryPolicy {
       // Escalation exhausted: last rung is a method swap — a persistently
       // poisoned GMRES (e.g. an injected fault in the Arnoldi process) is
       // unrecoverable from inside GMRES.
-      if (o.allow_krylov_swap && !swapped) {
+      if (!swapped) {
         swapped = true;
         s.krylov = Krylov::kBicgstab;
         s.note(kKrylovSwap, "GMRES -> BiCGStab");
@@ -202,7 +219,7 @@ struct RecoveryPolicy {
 
   /// Step-residual detector: reject a step whose residual blew up.
   bool diverged(SolveState& s, double rnorm_new, double rnorm_step) const {
-    if (!o.enabled || !(rnorm_new > o.divergence_factor * rnorm_step))
+    if (!o.enabled || !(rnorm_new > kDivergenceFactor * rnorm_step))
       return false;
     s.note(kDetectDivergence,
            "||r|| grew " + std::to_string(rnorm_new / rnorm_step) + "x");
@@ -212,14 +229,14 @@ struct RecoveryPolicy {
   void reject(SolveState& s, int attempt) const {
     s.note(kStepRejected, "attempt " + std::to_string(attempt + 1));
     F3D_NUMERIC_CHECK_MSG(
-        attempt + 1 < o.max_step_retries,
+        attempt + 1 < kMaxStepRetries,
         "recovery ladder exhausted at step " + std::to_string(s.step));
   }
 
   /// Numerical rung: shrink the pseudo-timestep (the core rebuilds the
   /// preconditioner at the rolled-back state).
   void backtrack(SolveState& s) const {
-    s.cfl_relax *= o.cfl_backtrack;
+    s.cfl_relax *= kCflBacktrackFactor;
     s.note(kCflBacktrack, "cfl_relax=" + std::to_string(s.cfl_relax));
     s.note(kPrecRefresh, "forced by step rejection");
   }
@@ -227,21 +244,21 @@ struct RecoveryPolicy {
   /// step-commit hook: let the CFL relaxation recover toward 1.
   void step_commit(SolveState& s) const {
     if (s.cfl_relax < 1.0)
-      s.cfl_relax = std::min(1.0, s.cfl_relax * o.cfl_regrow);
+      s.cfl_relax = std::min(1.0, s.cfl_relax * kCflRegrow);
   }
 };
 
 /// Silent-data-corruption guards (PtcSdcOptions) and their two rungs:
 /// recompute-and-verify, then rollback to the last committed state.
 struct SdcPolicy {
+  /// Recompute-and-verify attempts per step before rolling back to the
+  /// last verified state.
+  static constexpr int kMaxRecompute = 1;
+
   const PtcSdcOptions& o;
   bool flagged = false;  ///< this attempt tripped a guard
   int recomputes = 0;    ///< recompute rungs taken at this step
-  sparse::AbftGuard abft;
-
-  explicit SdcPolicy(const PtcSdcOptions& opts) : o(opts) {
-    abft.slack = o.abft_slack;
-  }
+  sparse::AbftGuard abft{};  ///< bound slack: AbftGuard's default 1024
 
   bool detect(SolveState& s, const std::string& what) {
     s.note(kDetectSdc, what);
@@ -264,7 +281,7 @@ struct SdcPolicy {
     if (!o.enabled) return true;
     const bool mutated = std::memcmp(s.x.data(), s.x_commit.data(),
                                      sizeof(double) * s.x.size()) != 0;
-    if (!mutated && (!o.admissibility || problem.admissible(s.x))) return true;
+    if (!mutated && problem.admissible(s.x)) return true;
     return detect(s, mutated ? "committed state changed between steps"
                              : "step-entry state is physically inadmissible");
   }
@@ -277,7 +294,7 @@ struct SdcPolicy {
   /// measured escape class.
   [[nodiscard]] double checksum(const std::vector<double>& r) const {
     double sum = 0;
-    if (o.enabled && o.abft)
+    if (o.enabled)
       for (double v : r) sum += v;
     return sum;
   }
@@ -285,7 +302,7 @@ struct SdcPolicy {
   /// residual-evaluated hook.
   bool residual_evaluated(SolveState& s, const std::vector<double>& r,
                           double sum_before, const char* what) {
-    if (!o.enabled || !o.abft || !std::isfinite(sum_before) ||
+    if (!o.enabled || !std::isfinite(sum_before) ||
         checksum(r) == sum_before)
       return true;
     return detect(s, std::string("residual transport checksum mismatch (") +
@@ -300,7 +317,7 @@ struct SdcPolicy {
   void assembled(const sparse::Bcsr<double>& jac,
                  const sparse::Bcsr<float>& jac_f, bool single,
                  bool matrix_free) {
-    if (!o.enabled || !o.abft || matrix_free) return;
+    if (!o.enabled || matrix_free) return;
     if (single)
       sparse::rebuild(abft, jac_f);
     else
@@ -324,7 +341,7 @@ struct SdcPolicy {
   /// numerically fine — is the state physically possible? (Finite wrong
   /// values from a bit flip pass every norm test.)
   bool admissible(SolveState& s, const NonlinearProblem& problem) {
-    if (!o.enabled || !o.admissibility) return true;
+    if (!o.enabled) return true;
     bool ok;
     {
       F3D_OBS_SPAN("admissibility");
@@ -338,7 +355,7 @@ struct SdcPolicy {
   /// refresh reassembles the Jacobian (and its checksums), which clears
   /// matrix corruption.
   void reject(SolveState& s, int attempt) {
-    if (recomputes < o.max_recompute) {
+    if (recomputes < kMaxRecompute) {
       ++recomputes;
       s.note(kSdcRecompute,
              "reassemble and re-run attempt " + std::to_string(attempt + 1));
@@ -361,6 +378,11 @@ struct SdcPolicy {
 /// once, logged; the final rung — early-return of the best committed
 /// state — is the budget trip itself.
 struct DegradePolicy {
+  static constexpr double kRtolFactor = 10.0;  ///< linear-rtol multiplier
+  static constexpr double kRtolMax = 0.3;      ///< cap on the loosened rtol
+  static constexpr int kRestartMin = 8;        ///< floor for the shrunk restart
+  static constexpr int kKrylovItersMin = 10;   ///< floor for shrunk max_iters
+
   const PtcDegradeOptions& o;
   bool enabled;
   bool loosened = false, frozen = false, shrunk = false;
@@ -371,7 +393,7 @@ struct DegradePolicy {
     const double pr = sguard.pressure();
     if (!loosened && pr >= o.loosen_at) {
       loosened = true;
-      s.gmres.rtol = std::min(o.rtol_max, s.gmres.rtol * o.rtol_factor);
+      s.gmres.rtol = std::min(kRtolMax, s.gmres.rtol * kRtolFactor);
       s.note(kDegradeRung,
              "loosen linear rtol -> " + std::to_string(s.gmres.rtol));
     }
@@ -382,8 +404,8 @@ struct DegradePolicy {
     }
     if (!shrunk && pr >= o.shrink_at) {
       shrunk = true;
-      s.gmres.restart = std::max(o.restart_min, s.gmres.restart / 2);
-      s.gmres.max_iters = std::max(o.krylov_iters_min, s.gmres.max_iters / 2);
+      s.gmres.restart = std::max(kRestartMin, s.gmres.restart / 2);
+      s.gmres.max_iters = std::max(kKrylovItersMin, s.gmres.max_iters / 2);
       s.note(kDegradeRung, "shrink krylov effort: restart -> " +
                                std::to_string(s.gmres.restart) +
                                ", max_iters -> " +
@@ -467,7 +489,7 @@ struct NksSystem {
             guard::SolveGuard& sguard, SolveState& s)
       : problem_(problem), opts_(opts), guard_(sguard), s_(s), x_(s.x),
         n_(problem.num_unknowns()), nb_(problem.nb()),
-        nv_(problem.num_vertices()), recovery_{opts.recovery}, sdc_(opts.sdc),
+        nv_(problem.num_vertices()), recovery_{opts.recovery}, sdc_{opts.sdc},
         r_(n_), g0_(n_), rhs_(n_), dx_(n_), work_(n_), xw_(n_), scale_(nv_),
         diag_(nv_) {
     problem.cell_volumes(vols_);
@@ -552,6 +574,9 @@ struct NksSystem {
     return true;
   }
 
+  /// Relative FD step for the matrix-free Jacobian action.
+  static constexpr double kFdEps = 1e-7;
+
   /// J_g = dr/dx + D: the matrix-free finite-difference action of the
   /// residual (§2.4: "the Jacobian itself is never explicitly needed"), or
   /// the assembled first-order Jacobian, which already carries D.
@@ -576,7 +601,7 @@ struct NksSystem {
         std::fill(y, y + n_, 0.0);
         return;
       }
-      const double eps = opts_.fd_eps * (1.0 + xnorm) / vnorm;
+      const double eps = kFdEps * (1.0 + xnorm) / vnorm;
       for (int i = 0; i < n_; ++i) xw_[i] = x_[i] + eps * v[i];
       if (!eval_residual(xw_, work_, "matrix-free action")) {
         // Corrupted evaluation: the detection already dooms the attempt —
@@ -743,11 +768,9 @@ class PsiNks : NksSystem {
       F3D_CHECK(scale_[v] > 0 && vols_[v] > 0);
       diag_[v] = vols_[v] / (rec.cfl * scale_[v]);
     }
-    for (int newton = 0; newton < opts_.newton_per_step; ++newton) {
-      if (!newton_correction(rec)) return false;
-      line_search(rec);
-      if (nan_seen_ || sdc_.flagged) return false;
-    }
+    if (!newton_correction(rec)) return false;
+    line_search(rec);
+    if (nan_seen_ || sdc_.flagged) return false;
     if (!eval_residual(x_, r_, "step residual")) return false;
     const double rnorm_new = sparse::norm2(r_);
     if (!std::isfinite(rnorm_new)) {
@@ -781,7 +804,7 @@ class PsiNks : NksSystem {
       recovery_.new_system();
       for (;;) {
         const LinearResult lin = krylov_solve(s_.krylov, op, *prec_, rhs_, dx_,
-                                              s_.gmres, opts_.sdc);
+                                              s_.gmres, opts_.sdc.enabled);
         rec.linear_iterations += lin.iterations;
         rec.linear_converged = lin.converged;
         rec.linear_breakdown |= lin.breakdown;
@@ -806,12 +829,15 @@ class PsiNks : NksSystem {
     return true;
   }
 
+  /// Backtracking halvings of the line search (0 = plain Newton).
+  static constexpr int kMaxLineSearch = 3;
+
   /// Backtracking line search on ||g|| (globalization; §2.4's "line
   /// search" knob). g at trial x' uses the same pseudo-time anchor.
   void line_search(PtcStepRecord& rec) {
     double lambda = 1.0;
     const double gnorm0 = sparse::norm2(g0_);
-    for (int ls = 0; ls <= opts_.max_line_search; ++ls) {
+    for (int ls = 0; ls <= kMaxLineSearch; ++ls) {
       for (int i = 0; i < n_; ++i) xw_[i] = x_[i] + lambda * dx_[i];
       eval_residual(xw_, work_, "line search");
       for (int vtx = 0; vtx < nv_; ++vtx)
@@ -821,7 +847,7 @@ class PsiNks : NksSystem {
         }
       const double gnorm = sparse::norm2(work_);
       if (gnorm <= (1.0 - 1e-4 * lambda) * gnorm0 ||
-          ls == opts_.max_line_search) {
+          ls == kMaxLineSearch) {
         x_ = xw_;
         rec.line_search_lambda = lambda;
         return;
@@ -848,8 +874,8 @@ PtcResult ptc_solve_impl(NonlinearProblem& problem, std::vector<double>& x,
 
   // Run-to-completion contract: the guard is always constructed (an
   // unbounded budget never trips, so the plain path is unchanged) and
-  // registered process-wide so exec chunk boundaries, Schwarz subdomain
-  // loops, and the cfd kernels can poll it.
+  // registered for this thread so exec chunk boundaries, Krylov
+  // iterations, Schwarz subdomain loops, and the cfd kernels can poll it.
   const PtcGuardOptions& gopts = opts.guard;
   guard::SolveGuard sguard(gopts.budget);
   guard::GuardScope guard_scope(&sguard);
@@ -857,7 +883,6 @@ PtcResult ptc_solve_impl(NonlinearProblem& problem, std::vector<double>& x,
 
   PtcResult result;
   SolveState s(x, result, opts);
-  s.gmres.guard = &sguard;  ///< charge/trip at iteration boundaries
   bool fault_captured = false;
   bool guard_exit = false;
 

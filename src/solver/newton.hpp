@@ -88,26 +88,10 @@ public:
 ///   GMRES stagnation       -> escalate the restart length; if escalation
 ///                             is exhausted, swap GMRES -> BiCGStab
 ///   zero pivot             -> escalating diagonal shift in the refactor
+/// The ladder's rung limits and multipliers are constants of the driver
+/// (RecoveryPolicy in newton.cpp).
 struct PtcRecoveryOptions {
   bool enabled = false;
-
-  // Step rejection.
-  int max_step_retries = 6;       ///< attempts per pseudo-timestep
-  double cfl_backtrack = 0.25;    ///< CFL multiplier on a rejected step
-  double cfl_regrow = 2.0;        ///< relaxation recovery per accepted step
-  double divergence_factor = 1e3; ///< reject if ||r|| grows past this factor
-
-  // Zero-pivot shift ladder (Manteuffel-style, relative to diag scale).
-  double pivot_shift0 = 1e-8;
-  int pivot_shift_attempts = 8;   ///< x10 escalation per rung
-
-  // Krylov escalation. A breakdown swaps BiCGStab -> GMRES; stagnation
-  // first escalates the GMRES restart length, then (once per solve) swaps
-  // GMRES -> BiCGStab. The swapped-to method stays active for the rest of
-  // the run.
-  bool allow_krylov_swap = true;
-  int gmres_restart_max = 120;    ///< cap for restart-length escalation
-  int max_linear_retries = 2;     ///< escalating re-solves of one system
 
   // Checkpoint/restart (see resilience/checkpoint.hpp).
   std::string checkpoint_path;    ///< empty = no checkpointing
@@ -120,7 +104,7 @@ struct PtcRecoveryOptions {
 /// PtcRecoveryOptions::enabled — without the ladder a detection aborts
 /// via NumericalError like every other plain-path failure.
 ///
-/// Detection layers (all on by default once `enabled` is set):
+/// Detection layers (all on once `enabled` is set):
 ///  * ABFT checksum on every assembled-Jacobian SpMV (matrix_free=false
 ///    path only; see sparse/abft.hpp),
 ///  * Krylov invariant monitors (GMRES restart drift / BiCGStab periodic
@@ -133,19 +117,10 @@ struct PtcRecoveryOptions {
 ///     or Krylov vectors) and matrix corruption;
 ///  2. rollback: restore the last state that passed every guard — the
 ///     only exit when the step-entry state itself is corrupted.
+/// The monitors' tolerances and the recompute limit are constants in
+/// newton.cpp.
 struct PtcSdcOptions {
   bool enabled = false;
-
-  bool abft = true;               ///< checksum assembled-Jacobian products
-  double abft_slack = 1024.0;     ///< rounding-bound slack (sparse/abft.hpp)
-  bool admissibility = true;      ///< post-step admissible() scan
-  double gmres_drift_tol = 1e-2;  ///< GmresOptions::sdc_drift_tol
-  double bicgstab_drift_tol = 1e-2;   ///< BicgstabOptions::sdc_drift_tol
-  int bicgstab_true_residual_every = 10;  ///< extra matvec cadence
-
-  /// Recompute-and-verify attempts per step before rolling back to the
-  /// last verified state.
-  int max_recompute = 1;
 };
 
 /// Graceful-degradation ladder: under budget pressure, trade accuracy for
@@ -158,10 +133,6 @@ struct PtcDegradeOptions {
   double loosen_at = 0.5;   ///< pressure to loosen the linear tolerance at
   double freeze_at = 0.7;   ///< pressure to stop Jacobian/prec refreshes at
   double shrink_at = 0.85;  ///< pressure to shrink the Krylov effort at
-  double rtol_factor = 10.0;  ///< linear-rtol multiplier for the loosen rung
-  double rtol_max = 0.3;      ///< cap on the loosened linear rtol
-  int restart_min = 8;        ///< floor for the shrunk GMRES restart
-  int krylov_iters_min = 10;  ///< floor for the shrunk per-solve iterations
 };
 
 /// Run-to-completion contract for one solve: budget + cancellation, the
@@ -188,7 +159,6 @@ struct PtcOptions {
   // Outer loop.
   int max_steps = 100;
   double rtol = 1e-8;      ///< steady residual reduction target
-  int newton_per_step = 1; ///< inexact Newton iterations per timestep
 
   // Krylov (§2.4.2).
   enum class Krylov { kGmres, kBicgstab };
@@ -208,9 +178,6 @@ struct PtcOptions {
   /// Rebuild+refactor the preconditioner every k pseudo-timesteps.
   int jacobian_refresh = 1;
 
-  /// Relative FD step for the matrix-free Jacobian action.
-  double fd_eps = 1e-7;
-
   /// false = apply the *assembled* first-order Jacobian in GMRES instead
   /// of the matrix-free FD action. Cheaper per iteration but the Krylov
   /// operator is then only first-order accurate — the tradeoff behind the
@@ -224,9 +191,6 @@ struct PtcOptions {
   /// and widens its bound to FLT_EPSILON. Pair with
   /// schwarz.single_precision for float preconditioner factors too.
   bool matrix_single_precision = false;
-
-  /// Backtracking line search steps (0 = plain Newton).
-  int max_line_search = 3;
 
   /// Breakdown recovery ladder + checkpoint/restart (off by default: the
   /// plain path aborts on numerical failure exactly as before).

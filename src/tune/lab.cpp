@@ -131,7 +131,6 @@ Evaluator SolveLab::evaluator() {
 std::vector<std::string> SolveLab::default_search_space() {
   return {
       "mesh.vertex_order", "mesh.edge_order",
-      "flow.reco_single_precision",
       "ptc.cfl0", "ptc.ser_exponent", "ptc.jacobian_refresh",
       "ptc.num_subdomains",
       "gmres.restart", "gmres.rtol",

@@ -145,15 +145,11 @@ TEST(ObsRegistry, CounterIdentityAcrossThreadCounts) {
   }
 }
 
-TEST(ObsRegistry, TimesGaugesAndClear) {
+TEST(ObsRegistry, GaugesAndClear) {
   obs::Registry reg;
-  reg.add_time("phase", 0.25);
-  reg.add_time("phase", 0.25);
-  reg.add_time("other", 1.0);
+  reg.count("hits", 3);
   reg.set_gauge("rate", 0.125);
   reg.set_gauge("rate", 0.5);  // last write wins
-  EXPECT_DOUBLE_EQ(reg.seconds("phase"), 0.5);
-  EXPECT_DOUBLE_EQ(reg.total_time(), 1.5);
   EXPECT_DOUBLE_EQ(reg.gauge("rate"), 0.5);
   EXPECT_EQ(reg.counter("absent"), 0);
   reg.clear();
@@ -203,7 +199,6 @@ TEST(ObsTrace, ChromeTraceRoundTrip) {
 
   obs::Registry reg;
   reg.count("k.iterations", 11);
-  reg.add_time("k.time", 0.25);
   const auto snap = reg.snapshot();
 
   auto trace = obs::chrome_trace_json(ev, &snap);
@@ -268,10 +263,10 @@ TEST(ObsTrace, CsvSinks) {
 TEST(ObsTable, RegistryAndSpanTables) {
   obs::Registry reg;
   reg.count("widgets", 5);
-  reg.add_time("phase", 0.5);
+  reg.set_gauge("rate", 0.5);
   const auto rt = registry_table(reg.snapshot()).to_string();
   EXPECT_NE(rt.find("widgets"), std::string::npos);
-  EXPECT_NE(rt.find("phase"), std::string::npos);
+  EXPECT_NE(rt.find("rate"), std::string::npos);
 
   obs::Tracer tracer;
   obs::set_tracing(true);

@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "cfd/euler.hpp"
 #include "common/error.hpp"
+#include "mesh/generator.hpp"
 #include "solver/newton.hpp"
 #include "tune/bindings.hpp"
 #include "tune/db.hpp"
@@ -479,6 +483,37 @@ TEST(TuneLab, DbKeyAndSearchSpaceAreRegistered) {
   EXPECT_FALSE(key.host_isa.empty());
   for (const auto& name : tune::SolveLab::default_search_space())
     EXPECT_NE(lab.registry().find(name), nullptr) << name;
+}
+
+TEST(TuneLab, DefaultSearchSpaceOmitsReconstructionPrecision) {
+  // The lab solves at first order, where no reconstruction operand is
+  // stored: the residual is bit-identical with the float-storage flag on
+  // and off, so searching over it would only double the space.
+  auto m = mesh::generate_wing_mesh(
+      mesh::WingMeshConfig{.nx = 6, .ny = 4, .nz = 4});
+  cfd::FlowConfig cfg;
+  cfg.model = cfd::Model::kIncompressible;
+  cfg.order = 1;
+  cfd::EulerDiscretization disc_d(m, cfg);
+  cfg.reco_single_precision = true;
+  cfd::EulerDiscretization disc_f(m, cfg);
+  auto q = disc_d.make_freestream_field();
+  auto& qd = q.data();
+  for (std::size_t i = 0; i < qd.size(); ++i)
+    qd[i] += 0.05 * std::sin(0.37 * static_cast<double>(i));
+  std::vector<double> rd, rf;
+  disc_d.residual(q, rd);
+  disc_f.residual(q, rf);
+  ASSERT_EQ(rd.size(), rf.size());
+  EXPECT_EQ(std::memcmp(rd.data(), rf.data(), rd.size() * sizeof(double)), 0);
+
+  // Still bound (introspection, a caller's own search), like flow.layout.
+  tune::SolveLab lab(1500);
+  EXPECT_NE(lab.registry().find("flow.reco_single_precision"), nullptr);
+  const auto space = tune::SolveLab::default_search_space();
+  EXPECT_EQ(std::count(space.begin(), space.end(),
+                       "flow.reco_single_precision"),
+            0);
 }
 
 TEST(TuneLab, PersistedEntryReproducesTunedConfigBitIdentically) {
